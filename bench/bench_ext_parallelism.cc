@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/schedule/generic_executor.h"
+#include "src/schedule/executor.h"
 #include "src/training/parallelism.h"
 
 using namespace gemini;
@@ -37,18 +37,17 @@ int main() {
     timeline_params.model = model;
     timeline_params.instance = instance;
     timeline_params.num_machines = 16;
-    GenericExecutorParams params;
-    params.timeline = BuildTimelineFor(strategy, timeline_params);
-    params.instance = instance;
-    params.checkpoint_bytes = model.CheckpointBytesPerMachine(16);
-    const GenericExecutionResult result = ExecuteOnTimeline(params);
+    ExecutorParams params;
+    params.timeline = timeline_params;
+    const IterationTimeline timeline = BuildTimelineFor(strategy, timeline_params);
+    const ExecutionResult result = ExecuteOnTimeline(params, timeline);
     if (!result.status.ok()) {
       std::cerr << ParallelismStrategyName(strategy) << ": " << result.status << "\n";
       return 1;
     }
     table.AddRow({std::string(ParallelismStrategyName(strategy)), instance.name,
                   TablePrinter::Fmt(ToSeconds(result.baseline_iteration_time)),
-                  TablePrinter::Fmt(ToSeconds(params.timeline.TotalIdle())),
+                  TablePrinter::Fmt(ToSeconds(timeline.TotalIdle())),
                   TablePrinter::Fmt(ToSeconds(result.partition.planned_transmission_time)),
                   TablePrinter::Fmt(ToSeconds(result.iteration_time)),
                   TablePrinter::Fmt(result.overhead_fraction * 100.0) + " %",

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verification plus Release and sanitizer passes.
 #
-#   scripts/ci.sh            # plain build + full ctest, then Release (-O2)
+#   scripts/ci.sh            # plain build + full ctest, committed-JSON and
+#                            # perfbench self-checks, then Release (-O2)
 #                            # build + ctest, then ASan+UBSan ctest
 #   scripts/ci.sh --fast     # plain build + full ctest only
 #
@@ -37,6 +38,23 @@ if [[ "$fast" == "1" ]]; then
   exit 0
 fi
 
+# The simulated benches are deterministic, so a refactor that claims
+# unchanged outputs must regenerate the committed reports byte for byte.
+echo "==> committed JSONs: regenerate and compare"
+GEMINI_BENCH_OUT_DIR="$(mktemp -d)" && trap 'rm -rf "$GEMINI_BENCH_OUT_DIR"' EXIT
+export GEMINI_BENCH_OUT_DIR
+for name in fig07_iteration_time fig09_recovery_probability fig14_recovery_timeline \
+    ext_auditor ext_cascade ext_deltas; do
+  ./build/bench/bench_$name >/dev/null
+  if ! cmp "$GEMINI_BENCH_OUT_DIR/BENCH_$name.json" "BENCH_$name.json"; then
+    echo "FAIL: BENCH_$name.json no longer regenerates byte-identical" >&2
+    exit 1
+  fi
+done
+
+echo "==> repo benchmark self-tests (perfbench)"
+python3 perfbench/run.py --selftest
+
 echo "==> release pass: configure + build (-DCMAKE_BUILD_TYPE=Release)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j
@@ -64,8 +82,6 @@ echo "==> sanitizer pass: ctest (remaining suites)"
 # determinism claims, and an uncapped tracer dropping records is a regression
 # even if the shape check were ever loosened.
 echo "==> bench smoke: bench_ext_auditor"
-GEMINI_BENCH_OUT_DIR="$(mktemp -d)" && trap 'rm -rf "$GEMINI_BENCH_OUT_DIR"' EXIT
-export GEMINI_BENCH_OUT_DIR
 ./build/bench/bench_ext_auditor
 if ! grep -q '"stable.tracer_dropped_records": 0' \
     "$GEMINI_BENCH_OUT_DIR/BENCH_ext_auditor.json"; then

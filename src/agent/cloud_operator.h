@@ -38,11 +38,6 @@ class CloudOperator {
   int standby_available() const { return standby_available_; }
   int total_replacements() const { return total_replacements_; }
 
-  // Expected replacement latency for analysis/benches.
-  TimeNs MeanProvisionDelay() const {
-    return (config_.provision_delay_min + config_.provision_delay_max) / 2;
-  }
-
   // Optional sink for "cloud.*" counters; may stay null. Counter handles are
   // resolved here, once, per the hot-path metric convention
   // (src/obs/metrics.h).

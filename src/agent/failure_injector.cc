@@ -61,13 +61,6 @@ void FailureInjector::ArmOnTrigger(std::string trigger, FailureType type, std::v
   armed_[std::move(trigger)].push_back(std::move(armed));
 }
 
-void FailureInjector::InjectCorruptionAt(TimeNs when, int holder_rank, int owner_rank,
-                                         size_t bit_index) {
-  sim_.ScheduleAt(when, [this, holder_rank, owner_rank, bit_index] {
-    ApplyCorruption(holder_rank, owner_rank, bit_index);
-  });
-}
-
 void FailureInjector::ArmCorruptionOnTrigger(std::string trigger, int holder_rank, int owner_rank,
                                              size_t bit_index, TimeNs delay) {
   ArmedEvent armed;
@@ -77,13 +70,6 @@ void FailureInjector::ArmCorruptionOnTrigger(std::string trigger, int holder_ran
   armed.bit_index = bit_index;
   armed.delay = delay;
   armed_[std::move(trigger)].push_back(std::move(armed));
-}
-
-void FailureInjector::InjectDeltaCorruptionAt(TimeNs when, int holder_rank, int owner_rank,
-                                              size_t chain_index, size_t bit_index) {
-  sim_.ScheduleAt(when, [this, holder_rank, owner_rank, chain_index, bit_index] {
-    ApplyDeltaCorruption(holder_rank, owner_rank, chain_index, bit_index);
-  });
 }
 
 void FailureInjector::ArmDeltaCorruptionOnTrigger(std::string trigger, int holder_rank,

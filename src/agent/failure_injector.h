@@ -77,17 +77,14 @@ class FailureInjector {
   void ArmOnTrigger(std::string trigger, FailureType type, std::vector<int> ranks,
                     TimeNs delay = 0);
 
-  // Schedules / arms a checkpoint bit flip on `holder_rank`'s completed
-  // replica of `owner_rank` (needs the corruption hook installed).
-  void InjectCorruptionAt(TimeNs when, int holder_rank, int owner_rank, size_t bit_index);
+  // Arms a checkpoint bit flip on `holder_rank`'s completed replica of
+  // `owner_rank` (needs the corruption hook installed).
   void ArmCorruptionOnTrigger(std::string trigger, int holder_rank, int owner_rank,
                               size_t bit_index, TimeNs delay = 0);
 
   // Same, but flips a bit inside link `chain_index` of the holder's redo-log
   // delta chain for `owner_rank` (incremental checkpoint mode; needs the
   // delta corruption hook installed).
-  void InjectDeltaCorruptionAt(TimeNs when, int holder_rank, int owner_rank,
-                               size_t chain_index, size_t bit_index);
   void ArmDeltaCorruptionOnTrigger(std::string trigger, int holder_rank, int owner_rank,
                                    size_t chain_index, size_t bit_index, TimeNs delay = 0);
 

@@ -11,10 +11,10 @@ SystemModel BuildDeepFreeze(const CheckpointWorkload& workload,
                             const DeepFreezeOptions& options) {
   SystemModel model;
   model.name = "DeepFreeze";
-  const TimeNs serialize = SerializationStall(workload.checkpoint_bytes_per_machine,
-                                              workload.serialization_bandwidth);
+  const TimeNs serialize =
+      TransferTime(workload.checkpoint_bytes_per_machine, workload.serialization_bandwidth);
   const TimeNs upload =
-      PersistentUploadTime(workload.total_checkpoint_bytes(), workload.persistent_bandwidth);
+      TransferTime(workload.total_checkpoint_bytes(), workload.persistent_bandwidth);
   // Serialization overlaps training; the end-to-end checkpoint time is still
   // serialize + upload, and one checkpoint must finish before the next.
   model.checkpoint_time = serialize + upload;
@@ -32,9 +32,9 @@ SystemModel BuildCheckFreq(const CheckpointWorkload& workload,
   SystemModel model;
   model.name = "CheckFreq";
   const TimeNs snapshot =
-      SerializationStall(workload.checkpoint_bytes_per_machine, options.snapshot_bandwidth);
+      TransferTime(workload.checkpoint_bytes_per_machine, options.snapshot_bandwidth);
   const TimeNs upload =
-      PersistentUploadTime(workload.total_checkpoint_bytes(), workload.persistent_bandwidth);
+      TransferTime(workload.total_checkpoint_bytes(), workload.persistent_bandwidth);
   model.checkpoint_time = snapshot + upload;
   // Frequency tuning: fast enough that overhead stays under the budget, but
   // never faster than the store can drain (the paper's own stated limit).

@@ -11,6 +11,14 @@
 #include "src/gemini/replicator.h"
 
 namespace gemini {
+namespace {
+
+// Background re-protection: retry cadence after a failed pass, and the cap
+// on consecutive failed passes.
+constexpr TimeNs kReprotectionRetryDelay = Seconds(5);
+constexpr int kReprotectionMaxAttempts = 3;
+
+}  // namespace
 
 std::string_view RecoverySourceName(RecoverySource source) {
   switch (source) {
@@ -52,9 +60,6 @@ Status GeminiConfig::Validate() const {
   }
   if (retrieval_max_attempts < 1) {
     return InvalidArgumentError("retrieval_max_attempts must be positive");
-  }
-  if (reprotection_max_attempts < 1) {
-    return InvalidArgumentError("reprotection_max_attempts must be positive");
   }
   if (pipeline_threads < 1) {
     return InvalidArgumentError("pipeline_threads must be positive");
@@ -1379,9 +1384,8 @@ void GeminiSystem::MaybeStartReprotection() {
         reprotection_inflight_ = false;
         if (!outcome.status.ok()) {
           GEMINI_LOG(kWarning) << "re-protection pass failed: " << outcome.status;
-          if (running_ && ++reprotection_attempts_ < config_.reprotection_max_attempts) {
-            sim_.ScheduleAfter(config_.reprotection_retry_delay,
-                               [this] { MaybeStartReprotection(); });
+          if (running_ && ++reprotection_attempts_ < kReprotectionMaxAttempts) {
+            sim_.ScheduleAfter(kReprotectionRetryDelay, [this] { MaybeStartReprotection(); });
           }
           return;
         }

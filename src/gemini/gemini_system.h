@@ -76,9 +76,6 @@ struct GeminiConfig {
   int retrieval_max_attempts = 6;
   TimeNs retrieval_backoff_base = Millis(200);
   TimeNs retrieval_backoff_cap = Seconds(5);
-  // Background re-protection pass retry cadence after a failed attempt.
-  TimeNs reprotection_retry_delay = Seconds(5);
-  int reprotection_max_attempts = 3;
   // Continuous interference auditing (drift detection + adaptive re-profile).
   AuditorConfig audit;
   // Per-iteration multiplicative jitter on the observed idle spans the

@@ -221,8 +221,7 @@ struct Stream : std::enable_shared_from_this<Stream> {
       // configured worker pool (per-segment CRCs combined in rank order —
       // the same value at any thread count); with the default
       // pipeline_threads = 1 it is one inline sequential pass.
-      if (received.payload_crc != 0 &&
-          Crc32Parallel(received.payload.data(), received.payload.size_bytes(),
+      if (Crc32Parallel(received.payload.data(), received.payload.size_bytes(),
                         outcome->workers) != received.payload_crc) {
         outcome->Fail(DataLossError("replica assembled for rank " +
                                     std::to_string(snapshot.owner_rank) +

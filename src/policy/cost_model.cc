@@ -11,14 +11,6 @@ TimeNs AlignUpToIterations(TimeNs interval, TimeNs iteration_time) {
   return iterations * iteration_time;
 }
 
-TimeNs SerializationStall(Bytes bytes_per_machine, BytesPerSecond serialization_bandwidth) {
-  return TransferTime(bytes_per_machine, serialization_bandwidth);
-}
-
-TimeNs PersistentUploadTime(Bytes total_bytes, BytesPerSecond persistent_bandwidth) {
-  return TransferTime(total_bytes, persistent_bandwidth);
-}
-
 TimeNs BudgetedInterval(TimeNs stall_per_checkpoint, double overhead_budget,
                         TimeNs min_interval, TimeNs iteration_time) {
   const TimeNs budget_interval =

@@ -1,10 +1,10 @@
 // Shared checkpoint-cost arithmetic.
 //
 // The related-work models (src/baselines/related_work.cc) and the protection
-// policies price the same primitives — serialization stalls, persistent
-// uploads, budget-capped checkpoint frequency. One copy here keeps baseline
-// numbers and policy numbers from drifting apart (they used to be
-// re-derived independently on each side).
+// policies schedule checkpoints by the same rules — iteration-aligned,
+// budget-capped frequency. One copy here keeps baseline numbers and policy
+// numbers from drifting apart (they used to be re-derived independently on
+// each side).
 #ifndef SRC_POLICY_COST_MODEL_H_
 #define SRC_POLICY_COST_MODEL_H_
 
@@ -15,13 +15,6 @@ namespace gemini {
 // Rounds `interval` up to a whole number of iterations (at least one):
 // checkpoints start on iteration boundaries.
 TimeNs AlignUpToIterations(TimeNs interval, TimeNs iteration_time);
-
-// torch.save-style blocking serialization of one machine's shard.
-TimeNs SerializationStall(Bytes bytes_per_machine, BytesPerSecond serialization_bandwidth);
-
-// Time to push `total_bytes` through a shared persistent store (excluding
-// queueing behind other writers).
-TimeNs PersistentUploadTime(Bytes total_bytes, BytesPerSecond persistent_bandwidth);
 
 // CheckFreq-style budgeted frequency: the shortest interval that keeps
 // `stall_per_checkpoint / interval <= overhead_budget`, but never shorter

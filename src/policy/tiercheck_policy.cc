@@ -24,8 +24,7 @@ IterationPlan TierCheckPolicy::PlanIteration(PolicyHost& host, int64_t iteration
 TimeNs TierCheckPolicy::PersistentInterval(const PolicyHost& host) const {
   // The requested cadence, stretched (never shrunk) until the serialization
   // stall it implies stays under the overhead budget.
-  const TimeNs stall =
-      SerializationStall(host.replica_bytes(), host.serialization_bandwidth());
+  const TimeNs stall = TransferTime(host.replica_bytes(), host.serialization_bandwidth());
   const TimeNs budgeted = BudgetedInterval(stall, options_.overhead_budget,
                                            options_.persistent_interval,
                                            host.execution().iteration_time);
@@ -53,8 +52,7 @@ RecoveryPlan TierCheckPolicy::BuildRecoveryPlan(const PolicyHost& host,
 
 PolicyCostReport TierCheckPolicy::CostReport(const PolicyHost& host) const {
   PolicyCostReport report;
-  const TimeNs stall =
-      SerializationStall(host.replica_bytes(), host.serialization_bandwidth());
+  const TimeNs stall = TransferTime(host.replica_bytes(), host.serialization_bandwidth());
   const TimeNs interval = PersistentInterval(host);
   // CPU-tier overhead (Algorithm 2) plus the amortized persistent stall.
   report.steady_state_overhead_fraction =

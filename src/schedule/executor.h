@@ -18,6 +18,13 @@
 // one machine's walk describes the cluster. The local GPU->CPU copy of the
 // machine's own checkpoint runs on its own PCIe links (8 GPUs' worth) and is
 // tracked separately.
+//
+// ExecuteOnTimeline applies the same chunk scheduling to *any*
+// IterationTimeline (data or pipeline parallel, or a measured trace) under a
+// rigid-shift interference model: when checkpoint traffic delays a training
+// communication segment, all later segments shift by the same amount. This
+// carries GEMINI's scheduling to the parallelism strategies the paper defers
+// to future work (Section 9).
 #ifndef SRC_SCHEDULE_EXECUTOR_H_
 #define SRC_SCHEDULE_EXECUTOR_H_
 
@@ -76,9 +83,16 @@ struct ExecutionResult {
   PartitionResult partition;
 };
 
-// Runs the walk. Always fills baseline_iteration_time; on OOM, `status` is
-// non-OK and the interleaved quantities are unset.
+// Runs the ZeRO-3 walk. Always fills baseline_iteration_time; on OOM,
+// `status` is non-OK and the interleaved quantities are unset.
 ExecutionResult ExecuteIterationWithCheckpoint(const ExecutorParams& params);
+
+// Schedules the checkpoint into `timeline`'s idle spans (or
+// params.profiled_spans) and replays its communication segments with rigid
+// downstream shifts. params.timeline supplies the instance, comm_alpha and —
+// unless checkpoint_bytes_override is set — the checkpoint size.
+ExecutionResult ExecuteOnTimeline(const ExecutorParams& params,
+                                  const IterationTimeline& timeline);
 
 // Checkpoint-frequency adaptation (paper Section 5.3, "Finish checkpointing
 // within an iteration"): when the full checkpoint traffic does not fit one

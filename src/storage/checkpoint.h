@@ -152,8 +152,8 @@ struct Checkpoint {
   // Real payload: an immutable shared handle, so Checkpoint copies are O(1).
   PayloadRef payload;
   // CRC-32 of the payload bytes, recorded at capture time so every tier can
-  // verify the replica it is about to serve (0 = no digest recorded, e.g. a
-  // hand-built test checkpoint).
+  // verify the replica it is about to serve. Every producer stamps it, and 0
+  // is an ordinary CRC value, not an "unstamped" marker that skips the check.
   uint32_t payload_crc = 0;
 
   bool valid() const { return owner_rank >= 0 && iteration >= 0; }
@@ -163,7 +163,7 @@ struct Checkpoint {
   }
   void StampPayloadCrc() { payload_crc = ComputePayloadCrc(); }
   // True when the payload still matches its recorded digest.
-  bool IntegrityOk() const { return payload_crc == 0 || payload_crc == ComputePayloadCrc(); }
+  bool IntegrityOk() const { return payload_crc == ComputePayloadCrc(); }
 
   friend bool operator==(const Checkpoint& a, const Checkpoint& b) {
     return a.owner_rank == b.owner_rank && a.iteration == b.iteration &&

@@ -49,8 +49,8 @@ StatusOr<DeltaCheckpoint> BuildDeltaCheckpoint(const Checkpoint& base, const Che
   delta.owner_rank = current.owner_rank;
   delta.iteration = current.iteration;
   delta.base_iteration = base.iteration;
-  delta.base_crc = base.payload_crc != 0 ? base.payload_crc : base.ComputePayloadCrc();
-  delta.state_crc = current.payload_crc != 0 ? current.payload_crc : current.ComputePayloadCrc();
+  delta.base_crc = base.payload_crc;
+  delta.state_crc = current.payload_crc;
   delta.logical_bytes = current.logical_bytes;
   delta.chunk_elements = chunk_elements;
   delta.payload_elements = elements;
@@ -91,8 +91,7 @@ StatusOr<Checkpoint> ApplyDeltaCheckpoint(const Checkpoint& base, const DeltaChe
   if (base.payload.size() != delta.payload_elements) {
     return InvalidArgumentError("delta payload geometry does not match the base");
   }
-  const uint32_t base_crc = base.payload_crc != 0 ? base.payload_crc : base.ComputePayloadCrc();
-  if (delta.base_crc != 0 && base_crc != delta.base_crc) {
+  if (base.payload_crc != delta.base_crc) {
     return DataLossError("delta base CRC mismatch: base state is not the one the delta sealed");
   }
 
@@ -119,7 +118,7 @@ StatusOr<Checkpoint> ApplyDeltaCheckpoint(const Checkpoint& base, const DeltaChe
   result.StampPayloadCrc();
   // End-to-end gate: the materialized state must match the digest recorded
   // when the delta was built.
-  if (delta.state_crc != 0 && result.payload_crc != delta.state_crc) {
+  if (result.payload_crc != delta.state_crc) {
     return DataLossError("materialized delta state failed its full-state CRC check");
   }
   return result;
@@ -168,8 +167,7 @@ Status RedoLog::Append(DeltaCheckpoint delta) {
         "delta bases on iteration " + std::to_string(delta.base_iteration) +
         " but the chain head is " + std::to_string(latest_iteration()));
   }
-  const uint32_t head_crc = latest_state_crc();
-  if (delta.base_crc != 0 && head_crc != 0 && delta.base_crc != head_crc) {
+  if (delta.base_crc != latest_state_crc()) {
     return DataLossError("delta base CRC does not match the chain head state");
   }
   chain_bytes_ += delta.delta_bytes;

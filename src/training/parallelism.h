@@ -5,7 +5,7 @@
 // future work. This module implements that future work at the timeline
 // level: each strategy produces the busy/idle network structure of one
 // iteration, and Algorithm 2 schedules checkpoint traffic into it unchanged
-// (see ExecuteOnTimeline in src/schedule/generic_executor.h).
+// (see ExecuteOnTimeline in src/schedule/executor.h).
 //
 //  * Data parallelism: every machine holds a full replica; the network is
 //    silent through the forward pass and carries bucketed gradient

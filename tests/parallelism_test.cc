@@ -3,7 +3,7 @@
 // generic interleaving executor, and the Trainium instance profile.
 #include <gtest/gtest.h>
 
-#include "src/schedule/generic_executor.h"
+#include "src/schedule/executor.h"
 #include "src/training/parallelism.h"
 
 namespace gemini {
@@ -98,18 +98,16 @@ TEST(PipelineTimelineTest, MoreMicrobatchesShrinkBubbleShare) {
 }
 
 // ---------------------------------------------------------------------------
-// Generic executor across strategies
+// Timeline executor across strategies
 // ---------------------------------------------------------------------------
 
 class StrategyExecutorTest : public ::testing::TestWithParam<ParallelismStrategy> {};
 
 TEST_P(StrategyExecutorTest, GeminiCheckpointFitsWithZeroOverhead) {
-  const TimelineParams timeline_params = Gpt20BOnP4d();
-  GenericExecutorParams params;
-  params.timeline = BuildTimelineFor(GetParam(), timeline_params);
-  params.instance = timeline_params.instance;
-  params.checkpoint_bytes = timeline_params.model.CheckpointBytesPerMachine(16);
-  const GenericExecutionResult result = ExecuteOnTimeline(params);
+  ExecutorParams params;
+  params.timeline = Gpt20BOnP4d();
+  const ExecutionResult result =
+      ExecuteOnTimeline(params, BuildTimelineFor(GetParam(), params.timeline));
   ASSERT_TRUE(result.status.ok()) << result.status;
   EXPECT_LT(result.overhead_fraction, 0.01) << ParallelismStrategyName(GetParam());
   EXPECT_TRUE(result.partition.fits_within_idle_time);
@@ -119,7 +117,7 @@ TEST_P(StrategyExecutorTest, GeminiCheckpointFitsWithZeroOverhead) {
   for (const ChunkAssignment& chunk : result.partition.chunks) {
     total += chunk.bytes;
   }
-  EXPECT_EQ(total, params.checkpoint_bytes);
+  EXPECT_EQ(total, params.timeline.model.CheckpointBytesPerMachine(16));
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, StrategyExecutorTest,
@@ -127,40 +125,50 @@ INSTANTIATE_TEST_SUITE_P(Strategies, StrategyExecutorTest,
                                            ParallelismStrategy::kDataParallel,
                                            ParallelismStrategy::kPipelineParallel));
 
-TEST(GenericExecutorTest, MatchesDedicatedExecutorBaseline) {
-  // On the ZeRO-3 timeline with no interference, both executors must agree
-  // on the baseline iteration time.
-  const TimelineParams timeline_params = Gpt20BOnP4d();
-  GenericExecutorParams params;
-  params.timeline = BuildZero3Timeline(timeline_params);
-  params.instance = timeline_params.instance;
-  params.checkpoint_bytes = timeline_params.model.CheckpointBytesPerMachine(16);
-  const GenericExecutionResult result = ExecuteOnTimeline(params);
+TEST(TimelineExecutorTest, MatchesZero3ExecutorBaseline) {
+  // On the ZeRO-3 timeline, the timeline walk and the dependency walk must
+  // agree on the baseline iteration time.
+  ExecutorParams params;
+  params.timeline = Gpt20BOnP4d();
+  const ExecutionResult result =
+      ExecuteOnTimeline(params, BuildZero3Timeline(params.timeline));
   ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(result.baseline_iteration_time, params.timeline.iteration_time);
+  EXPECT_EQ(result.baseline_iteration_time,
+            ExecuteIterationWithCheckpoint(params).baseline_iteration_time);
 }
 
-TEST(GenericExecutorTest, OversizedCheckpointProlongsIteration) {
-  const TimelineParams timeline_params = Gpt20BOnP4d();
-  GenericExecutorParams params;
-  params.timeline = BuildZero3Timeline(timeline_params);
-  params.instance = timeline_params.instance;
+TEST(TimelineExecutorTest, HonoursTheInterleaveScheme) {
+  // ZeRO-3 communicates from t=0, so streaming the whole checkpoint up front
+  // (Blocking) delays training where the pipelined schedule does not.
+  ExecutorParams params;
+  params.timeline = Gpt20BOnP4d();
+  const IterationTimeline timeline = BuildZero3Timeline(params.timeline);
+  const ExecutionResult pipelined = ExecuteOnTimeline(params, timeline);
+  params.scheme = InterleaveScheme::kBlocking;
+  const ExecutionResult blocking = ExecuteOnTimeline(params, timeline);
+  ASSERT_TRUE(pipelined.status.ok());
+  ASSERT_TRUE(blocking.status.ok());
+  EXPECT_GT(blocking.iteration_time, pipelined.iteration_time);
+}
+
+TEST(TimelineExecutorTest, OversizedCheckpointProlongsIteration) {
+  ExecutorParams params;
+  params.timeline = Gpt20BOnP4d();
   // An absurd checkpoint (10x the model) cannot fit the idle spans.
-  params.checkpoint_bytes = 10 * timeline_params.model.CheckpointBytesTotal();
-  const GenericExecutionResult result = ExecuteOnTimeline(params);
+  params.checkpoint_bytes_override = 10 * params.timeline.model.CheckpointBytesTotal();
+  const ExecutionResult result =
+      ExecuteOnTimeline(params, BuildZero3Timeline(params.timeline));
   ASSERT_TRUE(result.status.ok());
   EXPECT_FALSE(result.partition.fits_within_idle_time);
   EXPECT_GT(result.iteration_time, result.baseline_iteration_time);
 }
 
-TEST(GenericExecutorTest, SingleReplicaIsFree) {
-  const TimelineParams timeline_params = Gpt20BOnP4d();
-  GenericExecutorParams params;
-  params.timeline = BuildDataParallelTimeline(timeline_params);
-  params.instance = timeline_params.instance;
-  params.checkpoint_bytes = timeline_params.model.CheckpointBytesPerMachine(16);
+TEST(TimelineExecutorTest, SingleReplicaIsFree) {
+  ExecutorParams params;
+  params.timeline = Gpt20BOnP4d();
   params.num_replicas = 1;
-  const GenericExecutionResult result = ExecuteOnTimeline(params);
+  const ExecutionResult result =
+      ExecuteOnTimeline(params, BuildDataParallelTimeline(params.timeline));
   ASSERT_TRUE(result.status.ok());
   EXPECT_TRUE(result.partition.chunks.empty());
   EXPECT_EQ(result.iteration_time, result.baseline_iteration_time);
@@ -191,15 +199,12 @@ TEST(TrainiumTest, HostMemoryBoundsReplicaCapacity) {
 }
 
 TEST(TrainiumTest, Zero3CheckpointingStillFree) {
-  TimelineParams params;
-  params.model = Gpt2_20B();
-  params.instance = Trn1_32xlarge();
-  params.num_machines = 16;
-  GenericExecutorParams exec;
-  exec.timeline = BuildZero3Timeline(params);
-  exec.instance = params.instance;
-  exec.checkpoint_bytes = params.model.CheckpointBytesPerMachine(16);
-  const GenericExecutionResult result = ExecuteOnTimeline(exec);
+  ExecutorParams params;
+  params.timeline.model = Gpt2_20B();
+  params.timeline.instance = Trn1_32xlarge();
+  params.timeline.num_machines = 16;
+  const ExecutionResult result =
+      ExecuteOnTimeline(params, BuildZero3Timeline(params.timeline));
   ASSERT_TRUE(result.status.ok());
   EXPECT_LT(result.overhead_fraction, 0.01);
   EXPECT_TRUE(result.partition.fits_within_idle_time);

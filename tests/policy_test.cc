@@ -8,7 +8,6 @@
 
 #include "src/gemini/gemini_system.h"
 #include "src/policy/chameleon_selector.h"
-#include "src/policy/cost_model.h"
 #include "src/policy/protection_policy.h"
 
 namespace gemini {
@@ -192,8 +191,7 @@ TEST(TierCheckPolicyTest, RunsPersistentCheckpointsAtTightCadence) {
   EXPECT_GE(report->persistent_checkpoints_committed, 2);
   // The cadence never violates the serialization-stall budget (CheckFreq's
   // budgeted-frequency rule, shared through the cost model).
-  const TimeNs stall =
-      SerializationStall(system.replica_bytes(), config.serialization_bandwidth);
+  const TimeNs stall = TransferTime(system.replica_bytes(), config.serialization_bandwidth);
   const TimeNs interval = system.policy().PersistentInterval(system);
   EXPECT_GE(interval, Minutes(2));
   EXPECT_LE(static_cast<double>(stall) / static_cast<double>(interval),

@@ -28,6 +28,7 @@ Checkpoint MakeCheckpoint(int owner, int64_t iteration, Bytes logical, size_t pa
                 static_cast<float>(iteration) * 0.01f;
   }
   checkpoint.payload = std::move(values);
+  checkpoint.StampPayloadCrc();
   return checkpoint;
 }
 
@@ -304,8 +305,7 @@ TEST_F(CpuStoreTest, CommittedCheckpointsAcrossStoresAliasOneBuffer) {
   CpuCheckpointStore other_store(other_machine);
   ASSERT_TRUE(store_.HostOwner(2, 1000).ok());
   ASSERT_TRUE(other_store.HostOwner(2, 1000).ok());
-  Checkpoint snapshot = MakeCheckpoint(2, 5, 1000);
-  snapshot.StampPayloadCrc();
+  const Checkpoint snapshot = MakeCheckpoint(2, 5, 1000);
   ASSERT_TRUE(store_.WriteComplete(snapshot).ok());
   ASSERT_TRUE(other_store.WriteComplete(snapshot).ok());
   const std::optional<Checkpoint> a = store_.Latest(2);
@@ -323,8 +323,7 @@ TEST_F(CpuStoreTest, CorruptionOnOneHolderNeverLeaksToSiblings) {
   CpuCheckpointStore other_store(other_machine);
   ASSERT_TRUE(store_.HostOwner(2, 5).ok());
   ASSERT_TRUE(other_store.HostOwner(2, 5).ok());
-  Checkpoint snapshot = MakeCheckpoint(2, 7, 5);
-  snapshot.StampPayloadCrc();
+  const Checkpoint snapshot = MakeCheckpoint(2, 7, 5);
   ASSERT_TRUE(store_.WriteComplete(snapshot).ok());
   ASSERT_TRUE(other_store.WriteComplete(snapshot).ok());
   ASSERT_TRUE(store_.CorruptLatest(2, 13).ok());
@@ -335,6 +334,19 @@ TEST_F(CpuStoreTest, CorruptionOnOneHolderNeverLeaksToSiblings) {
   ASSERT_TRUE(clean.has_value());
   EXPECT_EQ(clean->payload, snapshot.payload);
   EXPECT_FALSE(store_.Latest(2)->payload.SharesBufferWith(clean->payload));
+}
+
+TEST_F(CpuStoreTest, ZeroedDigestDoesNotDisableVerification) {
+  // A zero digest is not "unstamped": clearing it must not let a bit-flipped
+  // payload pass as verified.
+  ASSERT_TRUE(store_.HostOwner(2, 5).ok());
+  Checkpoint tampered = MakeCheckpoint(2, 7, 5);
+  ASSERT_NE(tampered.payload_crc, 0u);
+  tampered.payload_crc = 0;
+  tampered.payload.MutableData()[3] += 1.0f;
+  EXPECT_FALSE(tampered.IntegrityOk());
+  ASSERT_TRUE(store_.WriteComplete(tampered).ok());
+  EXPECT_EQ(store_.LatestVerified(2), std::nullopt);
 }
 
 // ---------------------------------------------------------------------------
@@ -559,8 +571,7 @@ TEST_F(PersistentRetryTest, RetriesBackOffExponentiallyUpToCap) {
 }
 
 TEST_F(PersistentRetryTest, CorruptShardFailsCrcAcrossAllAttempts) {
-  Checkpoint stamped = MakeCheckpoint(1, 5, 1'000'000, 64);
-  stamped.StampPayloadCrc();
+  const Checkpoint stamped = MakeCheckpoint(1, 5, 1'000'000, 64);
   store_->SeedImmediate(std::move(stamped), 1);
   ASSERT_TRUE(store_->CorruptShard(1, 5, /*bit_index=*/13).ok());
   Status result = Status::Ok();
@@ -585,8 +596,7 @@ TEST_F(PersistentRetryTest, MissingShardIsPermanentAndNeverRetried) {
 TEST_F(DiskBackedPersistentStoreTest, CorruptShardRewritesDiskAndRetriesExhaust) {
   MetricsRegistry metrics;
   store_->set_metrics(&metrics);
-  Checkpoint stamped = MakeCheckpoint(2, 8, 1'000'000, 64);
-  stamped.StampPayloadCrc();
+  const Checkpoint stamped = MakeCheckpoint(2, 8, 1'000'000, 64);
   store_->Save(std::move(stamped), 1, [](Status) {});
   sim_.Run();
   ASSERT_TRUE(store_->CorruptShard(2, 8, /*bit_index=*/7).ok());
@@ -633,8 +643,7 @@ TEST(CheckpointStoreInterfaceTest, BothTiersServeTheSharedReadSurface) {
   config.aggregate_bandwidth = 1e9;
   PersistentStore persistent(sim, config);
 
-  Checkpoint snapshot = MakeCheckpoint(1, 9, 1000);
-  snapshot.StampPayloadCrc();
+  const Checkpoint snapshot = MakeCheckpoint(1, 9, 1000);
   ASSERT_TRUE(cpu.WriteComplete(snapshot).ok());
   persistent.SeedImmediate(snapshot, 1);
 
