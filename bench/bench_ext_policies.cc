@@ -132,7 +132,6 @@ int main() {
   std::cout << "\nChameleon selector (quiet start -> failure storm at t=40 min):\n";
   GeminiConfig chameleon_config = BaseConfig();
   chameleon_config.policy.kind = PolicyKind::kChameleon;
-  chameleon_config.policy.chameleon.initial = PolicyKind::kGemini;
   auto chameleon = GeminiSystem::Create(chameleon_config);
   int64_t switch_count = 0;
   bool chameleon_ok = false;

@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/baselines/related_work.h"
 
 using namespace gemini;
 

@@ -44,7 +44,7 @@ echo "==> committed JSONs: regenerate and compare"
 GEMINI_BENCH_OUT_DIR="$(mktemp -d)" && trap 'rm -rf "$GEMINI_BENCH_OUT_DIR"' EXIT
 export GEMINI_BENCH_OUT_DIR
 for name in fig07_iteration_time fig09_recovery_probability fig14_recovery_timeline \
-    ext_auditor ext_cascade ext_deltas; do
+    ext_auditor ext_cascade ext_deltas ext_policies; do
   ./build/bench/bench_$name >/dev/null
   if ! cmp "$GEMINI_BENCH_OUT_DIR/BENCH_$name.json" "BENCH_$name.json"; then
     echo "FAIL: BENCH_$name.json no longer regenerates byte-identical" >&2

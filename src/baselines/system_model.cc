@@ -1,7 +1,8 @@
 #include "src/baselines/system_model.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "src/policy/cost_model.h"
 
 namespace gemini {
 namespace {
@@ -61,9 +62,8 @@ SystemModel BuildHighFreq(const CheckpointWorkload& workload) {
   model.name = "HighFreq";
   model.checkpoint_time = PersistentCheckpointTime(workload);
   // Constraint (2): one checkpoint at a time, aligned to iterations.
-  const int64_t interval_iterations = std::max<int64_t>(
-      1, (model.checkpoint_time + workload.iteration_time - 1) / workload.iteration_time);
-  model.checkpoint_interval = interval_iterations * workload.iteration_time;
+  model.checkpoint_interval =
+      AlignUpToIterations(model.checkpoint_time, workload.iteration_time);
   model.training_block_per_checkpoint =
       TransferTime(workload.checkpoint_bytes_per_machine, workload.serialization_bandwidth);
   model.retrieval_time = PersistentRetrievalTime(workload);
@@ -120,6 +120,57 @@ SystemModel BuildGeminiPersistentFallback(const CheckpointWorkload& workload) {
   // operation (persistent checkpoints are rare), but the rolled-back
   // progress and retrieval match Strawman's.
   model.training_block_per_checkpoint = 0;
+  return model;
+}
+
+SystemModel BuildDeepFreeze(const CheckpointWorkload& workload,
+                            const DeepFreezeOptions& options) {
+  SystemModel model;
+  model.name = "DeepFreeze";
+  // Serialization overlaps training; the end-to-end checkpoint time is still
+  // serialize + upload, and one checkpoint must finish before the next.
+  model.checkpoint_time = PersistentCheckpointTime(workload);
+  model.checkpoint_interval =
+      AlignUpToIterations(model.checkpoint_time, workload.iteration_time);
+  model.training_block_per_checkpoint = static_cast<TimeNs>(
+      options.blocking_fraction *
+      static_cast<double>(
+          TransferTime(workload.checkpoint_bytes_per_machine, workload.serialization_bandwidth)));
+  model.retrieval_time = PersistentRetrievalTime(workload);
+  return model;
+}
+
+SystemModel BuildCheckFreq(const CheckpointWorkload& workload,
+                           const CheckFreqOptions& options) {
+  SystemModel model;
+  model.name = "CheckFreq";
+  const TimeNs snapshot =
+      TransferTime(workload.checkpoint_bytes_per_machine, options.snapshot_bandwidth);
+  model.checkpoint_time = snapshot + PersistentRetrievalTime(workload);
+  // Frequency tuning: fast enough that overhead stays under the budget, but
+  // never faster than the store can drain (the paper's own stated limit).
+  model.checkpoint_interval = BudgetedInterval(snapshot, options.overhead_budget,
+                                               model.checkpoint_time, workload.iteration_time);
+  model.training_block_per_checkpoint = snapshot;
+  model.retrieval_time = PersistentRetrievalTime(workload);
+  return model;
+}
+
+SystemModel BuildCheckNRun(const CheckpointWorkload& workload,
+                           const CheckNRunOptions& options) {
+  SystemModel model;
+  model.name = "Check-N-Run";
+  CheckpointWorkload compressed = workload;
+  compressed.checkpoint_bytes_per_machine = static_cast<Bytes>(
+      static_cast<double>(workload.checkpoint_bytes_per_machine) / options.compression_ratio);
+  const TimeNs compress =
+      TransferTime(workload.checkpoint_bytes_per_machine, options.compression_bandwidth);
+  model.checkpoint_time = compress + PersistentRetrievalTime(compressed);
+  model.checkpoint_interval =
+      AlignUpToIterations(model.checkpoint_time, workload.iteration_time);
+  model.training_block_per_checkpoint = compress;
+  // Recovery reads (and decompresses) the compressed bytes.
+  model.retrieval_time = PersistentRetrievalTime(compressed) + compress;
   return model;
 }
 

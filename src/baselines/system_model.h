@@ -1,4 +1,5 @@
-// Analytic checkpointing-system models: Strawman, HighFreq, and GEMINI.
+// Analytic checkpointing-system models: Strawman, HighFreq, GEMINI, and the
+// Section 8 related work (DeepFreeze, CheckFreq, Check-N-Run).
 //
 // Encodes the paper's cost accounting:
 //  * Equation (1): T_wasted = t_ckpt + 1/(2f) + t_rtvl;
@@ -96,6 +97,48 @@ SystemModel BuildGemini(const CheckpointWorkload& workload, int replaced_machine
 // GEMINI's degraded path when an entire placement group is lost and recovery
 // falls back to the remote persistent storage.
 SystemModel BuildGeminiPersistentFallback(const CheckpointWorkload& workload);
+
+// ---- Related work (paper Section 8) ----------------------------------------
+// Each improves on Strawman/HighFreq along one axis while keeping the remote
+// store on the recovery path — which is why none approaches GEMINI's wasted
+// time.
+
+// DeepFreeze (Nicolae et al., CCGRID'20): asynchronous serialization + upload
+// to remote persistent storage. No per-checkpoint training stall, but the
+// frequency is still bottlenecked by the store's bandwidth, and recovery
+// still reads terabytes through it.
+struct DeepFreezeOptions {
+  // Fraction of the serialization that still stalls training (pipelined
+  // copy-out; near zero by design).
+  double blocking_fraction = 0.05;
+};
+SystemModel BuildDeepFreeze(const CheckpointWorkload& workload,
+                            const DeepFreezeOptions& options = {});
+
+// CheckFreq (Mohan et al., FAST'21): fine-grained snapshots with a
+// dynamically tuned frequency that caps checkpoint overhead at a small budget
+// (3.5% in their paper). The snapshot itself is cheap (GPU-side copy), but
+// persistence and recovery go through the same remote store.
+struct CheckFreqOptions {
+  // Maximum fraction of training time spent checkpointing.
+  double overhead_budget = 0.035;
+  // GPU-side snapshot bandwidth (device memory copy of the model states).
+  BytesPerSecond snapshot_bandwidth = 100e9;
+};
+SystemModel BuildCheckFreq(const CheckpointWorkload& workload,
+                           const CheckFreqOptions& options = {});
+
+// Check-N-Run (Eisenman et al., NSDI'22): lossy compression shrinks the
+// persisted bytes by ~4x, buying frequency at the cost of compression time
+// and potential accuracy impact (which GEMINI avoids entirely).
+struct CheckNRunOptions {
+  // Lossy compression factor on the persisted bytes.
+  double compression_ratio = 4.0;
+  // Compression throughput (stalls training like serialization does).
+  BytesPerSecond compression_bandwidth = 2e9;
+};
+SystemModel BuildCheckNRun(const CheckpointWorkload& workload,
+                           const CheckNRunOptions& options = {});
 
 }  // namespace gemini
 

@@ -9,6 +9,7 @@
 #include "src/common/logging.h"
 #include "src/common/thread_pool.h"
 #include "src/gemini/replicator.h"
+#include "src/storage/retry_policy.h"
 
 namespace gemini {
 namespace {
@@ -17,6 +18,10 @@ namespace {
 // on consecutive failed passes.
 constexpr TimeNs kReprotectionRetryDelay = Seconds(5);
 constexpr int kReprotectionMaxAttempts = 3;
+// Peer-retrieval retry cascade: per-rank attempt cap across all alive
+// replica holders, with capped exponential backoff between attempts. Only
+// after the cap is exhausted does recovery fall through to the next step.
+constexpr RetryPolicy kPeerRetrievalRetry{6, Millis(200), Seconds(5)};
 
 }  // namespace
 
@@ -57,9 +62,6 @@ Status GeminiConfig::Validate() const {
   }
   if (serialization_bandwidth <= 0) {
     return InvalidArgumentError("serialization_bandwidth must be positive");
-  }
-  if (retrieval_max_attempts < 1) {
-    return InvalidArgumentError("retrieval_max_attempts must be positive");
   }
   if (pipeline_threads < 1) {
     return InvalidArgumentError("pipeline_threads must be positive");
@@ -771,8 +773,7 @@ void GeminiSystem::StartRecoveryAttempt() {
       situation.type = FailureType::kSoftware;
       situation.peer_recoverable = true;
       situation.iteration_at_failure = active_case_->iteration_at_failure;
-      ExecuteRecoverySteps(MakeCaseRecord(), policy_->BuildRecoveryPlan(*this, situation),
-                           /*step_index=*/0, {});
+      StartRecoveryPass(policy_->BuildRecoveryPlan(*this, situation), {});
     });
     return;
   }
@@ -790,69 +791,6 @@ void GeminiSystem::StartRecoveryAttempt() {
         rank, [this, rank](Machine& machine) { OnMachineReplaced(rank, machine); });
   }
   MaybeAnalyzeHardwareCase();
-}
-
-void GeminiSystem::ExecuteRecoverySteps(RecoveryRecord record, RecoveryPlan plan,
-                                        size_t step_index, std::vector<int> replaced_ranks) {
-  if (step_index >= plan.steps.size()) {
-    GEMINI_LOG(kError) << "recovery: the policy's fallback chain is exhausted; "
-                          "training cannot resume";
-    FinishRun();
-    return;
-  }
-  const RecoveryStep step = plan.steps[step_index];
-  switch (step.kind) {
-    case RecoveryStepKind::kRestoreFromLocalCpu:
-      RestoreFromLocalCpu(std::move(record), std::move(plan), step_index);
-      break;
-    case RecoveryStepKind::kFetchFromPeers:
-      RetrieveFromPeersAndResume(std::move(record), std::move(plan), step_index,
-                                 std::move(replaced_ranks));
-      break;
-    case RecoveryStepKind::kFetchFromPersistent:
-      RetrieveFromPersistentAndResume(std::move(record), std::move(replaced_ranks));
-      break;
-    case RecoveryStepKind::kReplayLoggedGradients:
-      ReplayLoggedGradientsAndResume(std::move(record), step);
-      break;
-    case RecoveryStepKind::kRecomputeFromPeers:
-      RecomputeFromPeersAndResume(std::move(record), step);
-      break;
-  }
-}
-
-void GeminiSystem::RestoreFromLocalCpu(RecoveryRecord record, RecoveryPlan plan,
-                                       size_t step_index) {
-  record.source = RecoverySource::kLocalCpuMemory;
-  std::vector<Checkpoint> checkpoints;
-  for (int rank = 0; rank < config_.num_machines; ++rank) {
-    const std::optional<Checkpoint> local =
-        cpu_stores_[static_cast<size_t>(rank)]->LatestVerified(rank);
-    if (!local.has_value()) {
-      // Failure before the first commit (or a corrupted local replica): fall
-      // through to the chain's next stage (the persistent tier for GEMINI).
-      ExecuteRecoverySteps(std::move(record), std::move(plan), step_index + 1, {});
-      return;
-    }
-    // The restarting process loads through the serialized form (the
-    // torch.save/torch.load path), so the CRC integrity check guards the
-    // bytes actually restored.
-    const StatusOr<Checkpoint> loaded = DeserializeCheckpoint(SerializeCheckpoint(*local));
-    if (!loaded.ok()) {
-      GEMINI_LOG(kError) << "local checkpoint failed integrity check: " << loaded.status();
-      ExecuteRecoverySteps(std::move(record), std::move(plan), step_index + 1, {});
-      return;
-    }
-    checkpoints.push_back(*loaded);
-  }
-  const Status status = trainer_->RestoreAll(checkpoints);
-  if (!status.ok()) {
-    GEMINI_LOG(kError) << "software recovery failed to restore: " << status;
-    ExecuteRecoverySteps(std::move(record), std::move(plan), step_index + 1, {});
-    return;
-  }
-  record.rollback_iteration = trainer_->iteration();
-  ResumeTraining(record);
 }
 
 void GeminiSystem::OnMachineReplaced(int rank, Machine& machine) {
@@ -897,8 +835,7 @@ void GeminiSystem::MaybeAnalyzeHardwareCase() {
     // Case analysis: can every rank's checkpoint be served from CPU memory
     // of machines that survived? The policy turns the answer into its
     // fallback chain (Section 6.2's case 1 / case 2 for GEMINI).
-    RecoveryRecord record = MakeCaseRecord();
-    const std::vector<int> replaced = active_case_->replaced;
+    std::vector<int> replaced = active_case_->replaced;
     std::vector<bool> failed(static_cast<size_t>(config_.num_machines), false);
     for (const int rank : replaced) {
       failed[static_cast<size_t>(rank)] = true;
@@ -912,78 +849,176 @@ void GeminiSystem::MaybeAnalyzeHardwareCase() {
       GEMINI_LOG(kWarning) << "recovery: an entire placement group was lost; falling back to "
                               "persistent storage";
     }
-    ExecuteRecoverySteps(std::move(record), policy_->BuildRecoveryPlan(*this, situation),
-                         /*step_index=*/0, replaced);
+    StartRecoveryPass(policy_->BuildRecoveryPlan(*this, situation), std::move(replaced));
   });
 }
 
-RecoveryRecord GeminiSystem::MakeCaseRecord() const {
-  const ActiveRecoveryCase& recovery_case = *active_case_;
+// State of one pass down the policy's fallback chain: the record it will
+// emit, its position in the chain, and the current step's retrieval fan-in.
+// A step that falls through hands a fresh pass to the next step and marks
+// this one aborted, so its late completions become no-ops.
+struct GeminiSystem::RecoveryPass {
   RecoveryRecord record;
-  record.type = recovery_case.type;
-  record.failed_ranks.assign(recovery_case.ranks.begin(), recovery_case.ranks.end());
-  record.failure_detected_at = recovery_case.first_detected_at;
-  record.iteration_at_failure = recovery_case.iteration_at_failure;
-  return record;
-}
-
-RetryPolicy GeminiSystem::RetrievalRetryPolicy() const {
-  return RetryPolicy{config_.retrieval_max_attempts, config_.retrieval_backoff_base,
-                     config_.retrieval_backoff_cap};
-}
-
-// Shared state of one peer-retrieval pass (one fetch task per replaced rank).
-struct GeminiSystem::PeerRetrievalContext {
-  RecoveryRecord record;
-  // The policy's chain and our position in it, so retry exhaustion falls
-  // through to the correct next stage.
   RecoveryPlan plan;
   size_t step_index = 0;
+  // Fresh-DRAM ranks of a hardware case (empty for software failures).
   std::vector<int> replaced_ranks;
+  // The recovery attempt this pass belongs to (see recovery_epoch_).
+  uint64_t epoch = 0;
+  // When the current step began.
   TimeNs started = 0;
   std::vector<Checkpoint> fetched;
   int pending = 0;
-  // Set when the pass fell through to the next stage; late transfer
-  // completions become no-ops.
   bool aborted = false;
 };
 
-void GeminiSystem::RetrieveFromPeersAndResume(RecoveryRecord record, RecoveryPlan plan,
-                                              size_t step_index,
-                                              std::vector<int> replaced_ranks) {
-  const uint64_t epoch = recovery_epoch_;
-  record.source = RecoverySource::kRemoteCpuMemory;
-  auto ctx = std::make_shared<PeerRetrievalContext>();
-  ctx->record = std::move(record);
-  ctx->plan = std::move(plan);
-  ctx->step_index = step_index;
-  ctx->replaced_ranks = std::move(replaced_ranks);
-  ctx->started = sim_.now();
-  ctx->pending = static_cast<int>(ctx->replaced_ranks.size());
-  injector_->Fire(kTriggerRetrievalStart);
-  if (ctx->replaced_ranks.empty()) {
-    FinishPeerRetrieval(ctx, epoch);
+void GeminiSystem::StartRecoveryPass(RecoveryPlan plan, std::vector<int> replaced_ranks) {
+  const ActiveRecoveryCase& recovery_case = *active_case_;
+  auto pass = std::make_shared<RecoveryPass>();
+  pass->record.type = recovery_case.type;
+  pass->record.failed_ranks.assign(recovery_case.ranks.begin(), recovery_case.ranks.end());
+  pass->record.failure_detected_at = recovery_case.first_detected_at;
+  pass->record.iteration_at_failure = recovery_case.iteration_at_failure;
+  pass->plan = std::move(plan);
+  pass->replaced_ranks = std::move(replaced_ranks);
+  pass->epoch = recovery_epoch_;
+  ExecuteRecoverySteps(pass);
+}
+
+void GeminiSystem::ExecuteRecoverySteps(const RecoveryPassPtr& pass) {
+  if (pass->step_index >= pass->plan.steps.size()) {
+    GEMINI_LOG(kError) << "recovery: the policy's fallback chain is exhausted; "
+                          "training cannot resume";
+    FinishRun();
     return;
   }
-  for (const int rank : ctx->replaced_ranks) {
-    // Go through the scheduler so trigger-armed events with zero delay (from
-    // the Fire above) land before the first read.
-    sim_.ScheduleAfter(0, [this, ctx, rank, epoch] { TryFetchReplica(ctx, rank, 0, epoch); });
+  pass->started = sim_.now();
+  switch (pass->plan.steps[pass->step_index].kind) {
+    case RecoveryStepKind::kRestoreFromLocalCpu:
+      RestoreFromLocalCpu(pass);
+      break;
+    case RecoveryStepKind::kFetchFromPeers:
+      RetrieveFromPeers(pass);
+      break;
+    case RecoveryStepKind::kFetchFromPersistent:
+    case RecoveryStepKind::kReplayLoggedGradients:
+      RetrieveFromPersistent(pass);
+      break;
+    case RecoveryStepKind::kRecomputeFromPeers:
+      RecomputeFromPeers(pass);
+      break;
   }
 }
 
-void GeminiSystem::TryFetchReplica(std::shared_ptr<PeerRetrievalContext> ctx, int rank,
-                                   int attempt, uint64_t epoch) {
-  if (epoch != recovery_epoch_ || ctx->aborted) {
+bool GeminiSystem::Live(const RecoveryPass& pass) const {
+  return pass.epoch == recovery_epoch_ && recovering_ && !pass.aborted;
+}
+
+void GeminiSystem::FallThrough(const RecoveryPassPtr& pass) {
+  pass->aborted = true;
+  auto next = std::make_shared<RecoveryPass>();
+  next->record = pass->record;
+  next->plan = pass->plan;
+  next->step_index = pass->step_index + 1;
+  next->replaced_ranks = pass->replaced_ranks;
+  next->epoch = pass->epoch;
+  ExecuteRecoverySteps(next);
+}
+
+bool GeminiSystem::RestoreOrFallThrough(const RecoveryPassPtr& pass,
+                                        const std::vector<Checkpoint>& checkpoints) {
+  const Status status = trainer_->RestoreAll(checkpoints);
+  if (status.ok()) {
+    return true;
+  }
+  GEMINI_LOG(kError) << "recovery from " << RecoverySourceName(pass->record.source)
+                     << " failed to restore: " << status;
+  FallThrough(pass);
+  return false;
+}
+
+void GeminiSystem::ResumeAfter(const RecoveryPassPtr& pass, TimeNs stall, TimeNs delay) {
+  RecoveryRecord& record = pass->record;
+  record.rollback_iteration = trainer_->iteration();
+  record.wasted_time =
+      (record.iteration_at_failure - record.rollback_iteration) * execution_.iteration_time +
+      (sim_.now() - pass->started) + stall;
+  if (stall + delay == 0) {
+    // Resume inside this event, ahead of anything else due at this instant.
+    ResumeTraining(record);
     return;
   }
-  if (RetrievalRetryPolicy().Exhausted(attempt)) {
+  sim_.ScheduleAfter(stall + delay, [this, pass] {
+    if (Live(*pass)) {
+      ResumeTraining(pass->record);
+    }
+  });
+}
+
+void GeminiSystem::RestoreFromLocalCpu(const RecoveryPassPtr& pass) {
+  pass->record.source = RecoverySource::kLocalCpuMemory;
+  std::vector<Checkpoint> checkpoints;
+  for (int rank = 0; rank < config_.num_machines; ++rank) {
+    const std::optional<Checkpoint> local =
+        cpu_stores_[static_cast<size_t>(rank)]->LatestVerified(rank);
+    if (!local.has_value()) {
+      // Failure before the first commit (or a corrupted local replica): fall
+      // through to the chain's next stage (the persistent tier for GEMINI).
+      FallThrough(pass);
+      return;
+    }
+    // The restarting process loads through the serialized form (the
+    // torch.save/torch.load path), so the CRC integrity check guards the
+    // bytes actually restored.
+    const StatusOr<Checkpoint> loaded = DeserializeCheckpoint(SerializeCheckpoint(*local));
+    if (!loaded.ok()) {
+      GEMINI_LOG(kError) << "local checkpoint failed integrity check: " << loaded.status();
+      FallThrough(pass);
+      return;
+    }
+    checkpoints.push_back(*loaded);
+  }
+  if (RestoreOrFallThrough(pass, checkpoints)) {
+    ResumeAfter(pass, /*stall=*/0, /*delay=*/0);
+  }
+}
+
+void GeminiSystem::RetrieveFromPeers(const RecoveryPassPtr& pass) {
+  pass->record.source = RecoverySource::kRemoteCpuMemory;
+  pass->pending = static_cast<int>(pass->replaced_ranks.size());
+  injector_->Fire(kTriggerRetrievalStart);
+  if (pass->replaced_ranks.empty()) {
+    FinishPeerRetrieval(pass);
+    return;
+  }
+  for (const int rank : pass->replaced_ranks) {
+    // Go through the scheduler so trigger-armed events with zero delay (from
+    // the Fire above) land before the first read.
+    sim_.ScheduleAfter(0, [this, pass, rank] { TryFetchReplica(pass, rank, /*attempt=*/0); });
+  }
+}
+
+void GeminiSystem::TryFetchReplica(const RecoveryPassPtr& pass, int rank, int attempt) {
+  if (!Live(*pass)) {
+    return;
+  }
+  if (kPeerRetrievalRetry.Exhausted(attempt)) {
     GEMINI_LOG(kWarning) << "recovery: rank " << rank << " exhausted " << attempt
                          << " retrieval attempts; falling back to persistent storage";
-    ctx->aborted = true;
-    ExecuteRecoverySteps(ctx->record, ctx->plan, ctx->step_index + 1, ctx->replaced_ranks);
+    FallThrough(pass);
     return;
   }
+  // A failed or CRC-rejected attempt backs off and re-reads, cycling to the
+  // next holder.
+  auto retry = [this, pass, rank, attempt](const Status& why) {
+    metrics_.counter("replicator.retries").Increment();
+    tracer_.Event("retrieval_retry", "recovery",
+                  {TraceAttr::Int("rank", rank), TraceAttr::Int("attempt", attempt + 1)});
+    GEMINI_LOG(kWarning) << "recovery: retrieval attempt " << attempt + 1 << " for rank "
+                         << rank << " failed (" << why << "); retrying";
+    sim_.ScheduleAfter(kPeerRetrievalRetry.BackoffBefore(attempt + 1),
+                       [this, pass, rank, attempt] { TryFetchReplica(pass, rank, attempt + 1); });
+  };
   // Re-derive the holder set every attempt: the alive set may have changed
   // since the case analysis. Replaced ranks count as holding nothing (their
   // fresh DRAM is only filled when this pass finishes).
@@ -991,13 +1026,12 @@ void GeminiSystem::TryFetchReplica(std::shared_ptr<PeerRetrievalContext> ctx, in
   for (int r = 0; r < config_.num_machines; ++r) {
     holder_alive[static_cast<size_t>(r)] = cluster_->machine(r).alive();
   }
-  for (const int r : ctx->replaced_ranks) {
+  for (const int r : pass->replaced_ranks) {
     holder_alive[static_cast<size_t>(r)] = false;
   }
   const std::vector<int> holders = placement_.AliveRemoteHolders(rank, holder_alive);
   if (holders.empty()) {
-    ctx->aborted = true;
-    ExecuteRecoverySteps(ctx->record, ctx->plan, ctx->step_index + 1, ctx->replaced_ranks);
+    FallThrough(pass);
     return;
   }
   // Cycle through the holders: m-1 distinct sources first, then another
@@ -1006,58 +1040,37 @@ void GeminiSystem::TryFetchReplica(std::shared_ptr<PeerRetrievalContext> ctx, in
   std::optional<Checkpoint> replica =
       cpu_stores_[static_cast<size_t>(holder)]->LatestVerified(rank);
   if (!replica.has_value()) {
-    RetryFetchReplica(ctx, rank, attempt, epoch,
-                      DataLossError("holder " + std::to_string(holder) +
-                                    " has no CRC-verified replica"));
+    retry(DataLossError("holder " + std::to_string(holder) + " has no CRC-verified replica"));
     return;
   }
   Fabric::TransferOptions options;  // Full line rate for retrieval.
   cluster_->fabric().Transfer(
       holder, rank, replica->logical_bytes, options,
-      [this, ctx, rank, attempt, epoch, replica = std::move(*replica)](Status status) mutable {
-        if (epoch != recovery_epoch_ || ctx->aborted) {
+      [this, pass, retry, replica = std::move(*replica)](Status status) mutable {
+        if (!Live(*pass)) {
           return;
         }
         if (!status.ok()) {
-          RetryFetchReplica(ctx, rank, attempt, epoch, status);
+          retry(status);
           return;
         }
         if (!replica.IntegrityOk()) {
-          RetryFetchReplica(ctx, rank, attempt, epoch,
-                            DataLossError("fetched replica failed its CRC check"));
+          retry(DataLossError("fetched replica failed its CRC check"));
           return;
         }
-        ctx->fetched.push_back(std::move(replica));
-        if (--ctx->pending == 0) {
-          FinishPeerRetrieval(ctx, epoch);
+        pass->fetched.push_back(std::move(replica));
+        if (--pass->pending == 0) {
+          FinishPeerRetrieval(pass);
         }
       });
 }
 
-void GeminiSystem::RetryFetchReplica(std::shared_ptr<PeerRetrievalContext> ctx, int rank,
-                                     int attempt, uint64_t epoch, const Status& why) {
-  metrics_.counter("replicator.retries").Increment();
-  tracer_.Event("retrieval_retry", "recovery",
-                {TraceAttr::Int("rank", rank), TraceAttr::Int("attempt", attempt + 1)});
-  GEMINI_LOG(kWarning) << "recovery: retrieval attempt " << attempt + 1 << " for rank " << rank
-                       << " failed (" << why << "); retrying";
-  sim_.ScheduleAfter(RetrievalRetryPolicy().BackoffBefore(attempt + 1),
-                     [this, ctx, rank, attempt, epoch] {
-                       TryFetchReplica(ctx, rank, attempt + 1, epoch);
-                     });
-}
-
-void GeminiSystem::FinishPeerRetrieval(std::shared_ptr<PeerRetrievalContext> ctx,
-                                       uint64_t epoch) {
-  if (epoch != recovery_epoch_ || ctx->aborted) {
-    return;
-  }
-  RecoveryRecord record = ctx->record;
+void GeminiSystem::FinishPeerRetrieval(const RecoveryPassPtr& pass) {
   // Install fetched replicas, then restore everyone: survivors from local
   // CPU memory, replacements from the fetched copies (Figure 6c).
   std::vector<Checkpoint> checkpoints;
   std::vector<bool> have(static_cast<size_t>(config_.num_machines), false);
-  for (Checkpoint& checkpoint : ctx->fetched) {
+  for (Checkpoint& checkpoint : pass->fetched) {
     (void)cpu_stores_[static_cast<size_t>(checkpoint.owner_rank)]->WriteComplete(checkpoint);
     have[static_cast<size_t>(checkpoint.owner_rank)] = true;
     checkpoints.push_back(std::move(checkpoint));
@@ -1069,190 +1082,98 @@ void GeminiSystem::FinishPeerRetrieval(std::shared_ptr<PeerRetrievalContext> ctx
     const std::optional<Checkpoint> local =
         cpu_stores_[static_cast<size_t>(rank)]->LatestVerified(rank);
     if (!local.has_value()) {
-      ctx->aborted = true;
-      ExecuteRecoverySteps(record, ctx->plan, ctx->step_index + 1, ctx->replaced_ranks);
+      FallThrough(pass);
       return;
     }
     checkpoints.push_back(*local);
   }
-  const Status status = trainer_->RestoreAll(checkpoints);
-  if (!status.ok()) {
-    GEMINI_LOG(kError) << "peer recovery failed to restore: " << status;
-    ctx->aborted = true;
-    ExecuteRecoverySteps(record, ctx->plan, ctx->step_index + 1, ctx->replaced_ranks);
+  if (!RestoreOrFallThrough(pass, checkpoints)) {
     return;
   }
-  record.rollback_iteration = trainer_->iteration();
-  record.wasted_time =
-      (record.iteration_at_failure - record.rollback_iteration) * execution_.iteration_time +
-      (sim_.now() - ctx->started);
-  tracer_.Span("retrieval", "recovery", ctx->started, sim_.now(),
-               {TraceAttr::Text("source", std::string(RecoverySourceName(record.source)))});
-  sim_.ScheduleAfter(config_.restart_warmup, [this, record, epoch]() mutable {
-    if (epoch != recovery_epoch_ || !recovering_) {
-      return;
-    }
-    ResumeTraining(record);
-  });
+  tracer_.Span("retrieval", "recovery", pass->started, sim_.now(),
+               {TraceAttr::Text("source", std::string(RecoverySourceName(pass->record.source)))});
+  ResumeAfter(pass, /*stall=*/0, config_.restart_warmup);
 }
 
-void GeminiSystem::RetrieveFromPersistentAndResume(RecoveryRecord record,
-                                                   std::vector<int> replaced_ranks) {
-  (void)replaced_ranks;
-  const uint64_t epoch = recovery_epoch_;
-  record.source = RecoverySource::kPersistentStorage;
-  const TimeNs retrieval_started = sim_.now();
-  const int64_t iteration = persistent_->LatestCompleteIteration();
-  if (iteration < 0) {
-    GEMINI_LOG(kError) << "recovery: no persistent checkpoint exists; training cannot resume";
-    FinishRun();
-    return;
-  }
-  auto checkpoints = std::make_shared<std::vector<Checkpoint>>();
-  auto pending = std::make_shared<int>(config_.num_machines);
-  for (int rank = 0; rank < config_.num_machines; ++rank) {
-    persistent_->Retrieve(
-        rank, iteration,
-        [this, record, retrieval_started, checkpoints, pending,
-         epoch](StatusOr<Checkpoint> result) mutable {
-          if (epoch != recovery_epoch_ || !recovering_) {
-            return;  // A mid-retrieval failure restarted the case analysis.
-          }
-          if (!result.ok()) {
-            GEMINI_LOG(kError) << "persistent retrieval failed: " << result.status();
-            FinishRun();
-            return;
-          }
-          checkpoints->push_back(std::move(result).value());
-          if (--*pending > 0) {
-            return;
-          }
-          const Status status = trainer_->RestoreAll(*checkpoints);
-          if (!status.ok()) {
-            GEMINI_LOG(kError) << "persistent recovery failed to restore: " << status;
-            FinishRun();
-            return;
-          }
-          // Refill the CPU tier so subsequent failures recover fast again.
-          for (const Checkpoint& checkpoint : *checkpoints) {
-            for (const int holder :
-                 placement_.replica_sets[static_cast<size_t>(checkpoint.owner_rank)]) {
-              if (cluster_->machine(holder).alive()) {
-                (void)cpu_stores_[static_cast<size_t>(holder)]->WriteComplete(checkpoint);
-              }
-            }
-          }
-          record.rollback_iteration = trainer_->iteration();
-          record.wasted_time = (record.iteration_at_failure - record.rollback_iteration) *
-                                   execution_.iteration_time +
-                               (sim_.now() - retrieval_started);
-          tracer_.Span("retrieval", "recovery", retrieval_started, sim_.now(),
-                       {TraceAttr::Text("source", std::string(RecoverySourceName(record.source)))});
-          sim_.ScheduleAfter(config_.restart_warmup, [this, record, epoch]() mutable {
-            if (epoch != recovery_epoch_ || !recovering_) {
-              return;
-            }
-            ResumeTraining(record);
-          });
-        });
-  }
-}
-
-void GeminiSystem::ReplayLoggedGradientsAndResume(RecoveryRecord record, RecoveryStep step) {
-  const uint64_t epoch = recovery_epoch_;
-  record.source = RecoverySource::kGradientReplay;
-  const TimeNs retrieval_started = sim_.now();
+void GeminiSystem::RetrieveFromPersistent(const RecoveryPassPtr& pass) {
+  const RecoveryStep step = pass->plan.steps[pass->step_index];
+  const bool replay = step.kind == RecoveryStepKind::kReplayLoggedGradients;
+  pass->record.source =
+      replay ? RecoverySource::kGradientReplay : RecoverySource::kPersistentStorage;
   const int64_t base = persistent_->LatestCompleteIteration();
   if (base < 0) {
-    GEMINI_LOG(kError) << "recovery: no persistent base for gradient replay; "
-                          "training cannot resume";
-    FinishRun();
+    GEMINI_LOG(kError) << "recovery: no persistent checkpoint exists";
+    FallThrough(pass);
     return;
   }
-  // Fetch the persistent base, then replay the logged gradient stream forward
-  // to the failure iteration: the deterministic update reproduces the
-  // pre-failure states bit-exactly, so no progress is lost — only the replay
-  // stall (a fraction of an iteration per replayed iteration) is paid.
-  auto checkpoints = std::make_shared<std::vector<Checkpoint>>();
-  auto pending = std::make_shared<int>(config_.num_machines);
+  pass->pending = config_.num_machines;
   for (int rank = 0; rank < config_.num_machines; ++rank) {
-    persistent_->Retrieve(
-        rank, base,
-        [this, record, step, retrieval_started, checkpoints, pending,
-         epoch](StatusOr<Checkpoint> result) mutable {
-          if (epoch != recovery_epoch_ || !recovering_) {
-            return;
+    persistent_->Retrieve(rank, base, [this, pass, step, replay](StatusOr<Checkpoint> result) {
+      if (!Live(*pass)) {
+        return;  // A mid-retrieval failure restarted the case analysis.
+      }
+      if (!result.ok()) {
+        GEMINI_LOG(kError) << "persistent retrieval failed: " << result.status();
+        FallThrough(pass);
+        return;
+      }
+      pass->fetched.push_back(std::move(result).value());
+      if (--pass->pending > 0 || !RestoreOrFallThrough(pass, pass->fetched)) {
+        return;
+      }
+      if (replay) {
+        // Replay the logged gradient stream forward to the failure
+        // iteration: the deterministic update reproduces the pre-failure
+        // states bit-exactly, so no progress is lost — only the replay stall
+        // (a fraction of an iteration per replayed iteration) is paid.
+        const int64_t base_iteration = trainer_->iteration();
+        const int64_t target = pass->record.iteration_at_failure;
+        const Status replayed = trainer_->ReplayTo(target);
+        if (!replayed.ok()) {
+          GEMINI_LOG(kError) << "gradient replay failed: " << replayed;
+          FallThrough(pass);
+          return;
+        }
+        const TimeNs replay_stall = static_cast<TimeNs>(
+            static_cast<double>(target - base_iteration) * step.replay_cost_fraction *
+            static_cast<double>(current_iteration_duration_));
+        tracer_.Span("gradient_replay", "recovery", pass->started, sim_.now() + replay_stall,
+                     {TraceAttr::Int("base_iteration", base_iteration),
+                      TraceAttr::Int("replayed_iterations", target - base_iteration)});
+        ResumeAfter(pass, replay_stall, config_.restart_warmup);
+        return;
+      }
+      // Refill the CPU tier so subsequent failures recover fast again.
+      for (const Checkpoint& checkpoint : pass->fetched) {
+        for (const int holder :
+             placement_.replica_sets[static_cast<size_t>(checkpoint.owner_rank)]) {
+          if (cluster_->machine(holder).alive()) {
+            (void)cpu_stores_[static_cast<size_t>(holder)]->WriteComplete(checkpoint);
           }
-          if (!result.ok()) {
-            GEMINI_LOG(kError) << "persistent retrieval failed: " << result.status();
-            FinishRun();
-            return;
-          }
-          checkpoints->push_back(std::move(result).value());
-          if (--*pending > 0) {
-            return;
-          }
-          const Status status = trainer_->RestoreAll(*checkpoints);
-          if (!status.ok()) {
-            GEMINI_LOG(kError) << "gradient-replay recovery failed to restore: " << status;
-            FinishRun();
-            return;
-          }
-          const int64_t base_iteration = trainer_->iteration();
-          const int64_t target = record.iteration_at_failure;
-          const Status replayed = trainer_->ReplayTo(target);
-          if (!replayed.ok()) {
-            GEMINI_LOG(kError) << "gradient replay failed: " << replayed;
-            FinishRun();
-            return;
-          }
-          const TimeNs replay_stall = static_cast<TimeNs>(
-              static_cast<double>(target - base_iteration) * step.replay_cost_fraction *
-              static_cast<double>(current_iteration_duration_));
-          record.rollback_iteration = trainer_->iteration();  // == target: zero rollback.
-          record.wasted_time = (sim_.now() - retrieval_started) + replay_stall;
-          tracer_.Span("gradient_replay", "recovery", retrieval_started,
-                       sim_.now() + replay_stall,
-                       {TraceAttr::Int("base_iteration", base_iteration),
-                        TraceAttr::Int("replayed_iterations", target - base_iteration)});
-          sim_.ScheduleAfter(replay_stall + config_.restart_warmup,
-                             [this, record, epoch]() mutable {
-                               if (epoch != recovery_epoch_ || !recovering_) {
-                                 return;
-                               }
-                               ResumeTraining(record);
-                             });
-        });
+        }
+      }
+      tracer_.Span("retrieval", "recovery", pass->started, sim_.now(),
+                   {TraceAttr::Text("source", std::string(RecoverySourceName(pass->record.source)))});
+      ResumeAfter(pass, /*stall=*/0, config_.restart_warmup);
+    });
   }
 }
 
-void GeminiSystem::RecomputeFromPeersAndResume(RecoveryRecord record, RecoveryStep step) {
-  const uint64_t epoch = recovery_epoch_;
-  record.source = RecoverySource::kPeerRecompute;
-  const TimeNs started = sim_.now();
+void GeminiSystem::RecomputeFromPeers(const RecoveryPassPtr& pass) {
+  pass->record.source = RecoverySource::kPeerRecompute;
+  const double iterations = pass->plan.steps[pass->step_index].recompute_iterations;
   // No checkpoint fetch at all: surviving peers hold enough redundancy to
   // rebuild the lost shard in place at a fixed iterations-worth of recompute.
-  const TimeNs recompute_stall = static_cast<TimeNs>(
-      step.recompute_iterations * static_cast<double>(current_iteration_duration_));
-  record.rollback_iteration = trainer_->iteration();  // State never left GPUs.
-  record.wasted_time = recompute_stall;
-  tracer_.Span("peer_recompute", "recovery", started, started + recompute_stall,
-               {TraceAttr::Real("recompute_iterations", step.recompute_iterations)});
-  sim_.ScheduleAfter(recompute_stall + config_.restart_warmup, [this, record, epoch]() mutable {
-    if (epoch != recovery_epoch_ || !recovering_) {
-      return;
-    }
-    ResumeTraining(record);
-  });
+  const TimeNs recompute_stall =
+      static_cast<TimeNs>(iterations * static_cast<double>(current_iteration_duration_));
+  tracer_.Span("peer_recompute", "recovery", pass->started, pass->started + recompute_stall,
+               {TraceAttr::Real("recompute_iterations", iterations)});
+  ResumeAfter(pass, recompute_stall, config_.restart_warmup);
 }
 
 void GeminiSystem::ResumeTraining(RecoveryRecord record) {
   record.training_resumed_at = sim_.now();
   record.downtime = record.training_resumed_at - record.failure_detected_at;
-  if (record.wasted_time == 0) {
-    record.wasted_time = (record.iteration_at_failure - record.rollback_iteration) *
-                         execution_.iteration_time;
-  }
   // Expand the merged case into one RecoveryRecord per absorbed FailureReport:
   // a cascade of k overlapping failures yields k records (none dropped), each
   // with its own type/ranks/detection time but the shared resolution.

@@ -69,13 +69,6 @@ struct GeminiConfig {
   int kv_server_count = 3;
   TimeNs restart_warmup = Seconds(260);
   BytesPerSecond serialization_bandwidth = 0.93e9;
-  // Peer-retrieval retry cascade (recovery hardening): per-rank attempt cap
-  // across all alive replica holders, with capped exponential backoff between
-  // attempts. Only after the cap is exhausted does recovery fall back to the
-  // persistent tier.
-  int retrieval_max_attempts = 6;
-  TimeNs retrieval_backoff_base = Millis(200);
-  TimeNs retrieval_backoff_cap = Seconds(5);
   // Continuous interference auditing (drift detection + adaptive re-profile).
   AuditorConfig audit;
   // Per-iteration multiplicative jitter on the observed idle spans the
@@ -394,7 +387,8 @@ class GeminiSystem : public PolicyHost {
     TimeNs serialize_done_at = 0;
     int64_t iteration_at_failure = 0;
   };
-  struct PeerRetrievalContext;
+  struct RecoveryPass;
+  using RecoveryPassPtr = std::shared_ptr<RecoveryPass>;
 
   void OnFailureDetected(const FailureReport& report);
   void AbsorbFailureDuringRecovery(const FailureReport& report);
@@ -405,34 +399,38 @@ class GeminiSystem : public PolicyHost {
   // Once no replacement is pending, schedules the Section 6.2 case analysis
   // after the serialization window.
   void MaybeAnalyzeHardwareCase();
-  RecoveryRecord MakeCaseRecord() const;
-  // Runs the policy's fallback chain from `step_index`: each step executor
-  // either resumes training or falls through to the next step; an exhausted
-  // chain ends the run.
-  void ExecuteRecoverySteps(RecoveryRecord record, RecoveryPlan plan, size_t step_index,
-                            std::vector<int> replaced_ranks);
+  // Starts a pass down the policy's fallback chain for the active case.
+  void StartRecoveryPass(RecoveryPlan plan, std::vector<int> replaced_ranks);
+  // Runs the pass's current step. Each step either resumes training
+  // (ResumeAfter) or falls through to the next step; only an exhausted chain
+  // ends the run.
+  void ExecuteRecoverySteps(const RecoveryPassPtr& pass);
+  // False once a preemption made the pass stale or it fell through.
+  bool Live(const RecoveryPass& pass) const;
+  // Aborts the pass's current step and runs the next one.
+  void FallThrough(const RecoveryPassPtr& pass);
+  // RestoreAll, falling through when the trainer rejects the checkpoints.
+  bool RestoreOrFallThrough(const RecoveryPassPtr& pass,
+                            const std::vector<Checkpoint>& checkpoints);
+  // Records the rollback and wasted time (lost iterations, the step's elapsed
+  // time, and `stall`), then resumes training `stall + delay` from now.
+  void ResumeAfter(const RecoveryPassPtr& pass, TimeNs stall, TimeNs delay);
   // kRestoreFromLocalCpu: every rank reloads its own CPU replica through the
   // serialized (CRC-guarded) form.
-  void RestoreFromLocalCpu(RecoveryRecord record, RecoveryPlan plan, size_t step_index);
+  void RestoreFromLocalCpu(const RecoveryPassPtr& pass);
   // kFetchFromPeers: fetch replacements' checkpoints from alive group peers,
   // retrying across all holders (capped exponential backoff, CRC per
-  // attempt); exhaustion falls through to the chain's next step.
-  void RetrieveFromPeersAndResume(RecoveryRecord record, RecoveryPlan plan, size_t step_index,
-                                  std::vector<int> replaced_ranks);
-  void TryFetchReplica(std::shared_ptr<PeerRetrievalContext> ctx, int rank, int attempt,
-                       uint64_t epoch);
-  void RetryFetchReplica(std::shared_ptr<PeerRetrievalContext> ctx, int rank, int attempt,
-                         uint64_t epoch, const Status& why);
-  void FinishPeerRetrieval(std::shared_ptr<PeerRetrievalContext> ctx, uint64_t epoch);
-  RetryPolicy RetrievalRetryPolicy() const;
-  // kFetchFromPersistent: roll everyone back to the persistent tier.
-  void RetrieveFromPersistentAndResume(RecoveryRecord record, std::vector<int> replaced_ranks);
-  // kReplayLoggedGradients: persistent base + deterministic replay of the
-  // logged gradient stream to the failure iteration (zero rollback).
-  void ReplayLoggedGradientsAndResume(RecoveryRecord record, RecoveryStep step);
+  // attempt).
+  void RetrieveFromPeers(const RecoveryPassPtr& pass);
+  void TryFetchReplica(const RecoveryPassPtr& pass, int rank, int attempt);
+  void FinishPeerRetrieval(const RecoveryPassPtr& pass);
+  // kFetchFromPersistent rolls everyone back to the persistent tier;
+  // kReplayLoggedGradients then replays the logged gradient stream to the
+  // failure iteration (zero rollback).
+  void RetrieveFromPersistent(const RecoveryPassPtr& pass);
   // kRecomputeFromPeers: rebuild lost state in place from peer redundancy at
   // a fixed iterations-worth of recompute cost.
-  void RecomputeFromPeersAndResume(RecoveryRecord record, RecoveryStep step);
+  void RecomputeFromPeers(const RecoveryPassPtr& pass);
   void ResumeTraining(RecoveryRecord record);
   void RestartAgentsForRank(int rank);
   void OnWorkerPromotedToRoot(int rank);

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/common/crc32.h"
-#include "src/common/logging.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/auditor.h"
 #include "src/obs/metrics.h"
@@ -247,98 +247,6 @@ struct Stream : std::enable_shared_from_this<Stream> {
   }
 };
 
-// One owner->holder *delta* stream: ships only the delta bytes (in bounded
-// fabric pieces), reassembles the chunk payloads on the receive side, gates
-// every chunk on its capture-time CRC fingerprint, and appends the delta to
-// the holder's redo chain.
-struct DeltaStream : std::enable_shared_from_this<DeltaStream> {
-  Cluster* cluster = nullptr;
-  std::shared_ptr<Outcome> outcome;
-  CpuCheckpointStore* store = nullptr;
-  DeltaCheckpoint delta;  // Chunk payloads shared, not copied.
-  int source = -1;
-  int dest = -1;
-  std::vector<Bytes> pieces;  // Fabric transfer sizes tiling delta_bytes.
-  size_t next_send = 0;
-  size_t landed = 0;
-  PayloadPool* pool = nullptr;
-
-  void SendNext() {
-    if (outcome->failed || next_send >= pieces.size()) {
-      return;
-    }
-    const Bytes piece = pieces[next_send++];
-    auto self = shared_from_this();
-    const TimeNs sent_at = cluster->sim().now();
-    Fabric::TransferOptions options;
-    cluster->fabric().Transfer(source, dest, piece, options, [self, piece,
-                                                             sent_at](Status status) {
-      if (!status.ok()) {
-        self->outcome->Fail(std::move(status));
-        return;
-      }
-      ++self->outcome->result.chunks_transferred;
-      self->outcome->unflushed_chunks += 1;
-      self->outcome->unflushed_bytes += piece;
-      if (self->outcome->failed) {
-        self->outcome->FlushMetricBatch();
-      }
-      self->outcome->result.network_done =
-          std::max(self->outcome->result.network_done, self->cluster->sim().now());
-      self->cluster->pcie().Copy(self->dest, piece, [self](Status copy_status) {
-        if (!copy_status.ok()) {
-          self->outcome->Fail(std::move(copy_status));
-          return;
-        }
-        self->OnPieceLanded();
-      });
-    });
-  }
-
-  void OnPieceLanded() {
-    if (outcome->failed) {
-      return;
-    }
-    if (++landed < pieces.size()) {
-      SendNext();
-      return;
-    }
-    // All delta bytes are in CPU memory: reassemble the chunk payloads into
-    // one fresh buffer (what actually crossed the wire), re-slice it, and
-    // CRC-gate every chunk before the chain append.
-    std::shared_ptr<std::vector<float>> buffer = pool->Acquire(delta.delta_elements());
-    size_t cursor = 0;
-    for (const DeltaChunk& chunk : delta.chunks) {
-      std::copy(chunk.data.begin(), chunk.data.end(),
-                buffer->begin() + static_cast<std::ptrdiff_t>(cursor));
-      cursor += chunk.data.size();
-    }
-    const PayloadRef assembled(std::shared_ptr<const std::vector<float>>(std::move(buffer)));
-    DeltaCheckpoint received = delta;
-    cursor = 0;
-    for (DeltaChunk& chunk : received.chunks) {
-      const size_t count = chunk.data.size();
-      chunk.data = assembled.Slice(cursor, count);
-      cursor += count;
-      if (Crc32(chunk.data.data(), chunk.data.size_bytes()) != chunk.crc) {
-        outcome->Fail(DataLossError(
-            "delta chunk assembled for rank " + std::to_string(delta.owner_rank) +
-            " failed its pre-append CRC check"));
-        return;
-      }
-    }
-    const Status written = store->WriteDelta(std::move(received));
-    if (!written.ok()) {
-      outcome->Fail(written);
-      return;
-    }
-    if (outcome->commits_counter != nullptr) {
-      outcome->commits_counter->Increment();
-    }
-    outcome->StreamFinished(cluster->sim().now());
-  }
-};
-
 }  // namespace
 
 void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
@@ -412,139 +320,6 @@ void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
   outcome->pending_streams += static_cast<int>(streams.size());
   for (const auto& stream : streams) {
     const int window = std::max(1, config.num_buffers);
-    for (int i = 0; i < window; ++i) {
-      stream->SendNext();
-    }
-  }
-}
-
-void ReplicateDeltaSnapshot(Cluster& cluster, const PlacementPlan& placement,
-                            std::vector<CpuCheckpointStore*> stores,
-                            const std::vector<Checkpoint>& snapshots,
-                            const std::vector<std::optional<DeltaCheckpoint>>& deltas,
-                            Bytes chunk_bytes, const ReplicatorConfig& config,
-                            std::function<void(ReplicationOutcome)> done) {
-  assert(static_cast<int>(stores.size()) == cluster.size());
-  assert(static_cast<int>(snapshots.size()) == cluster.size());
-  assert(static_cast<int>(deltas.size()) == cluster.size());
-
-  PayloadPool& pool = config.pool != nullptr ? *config.pool : DefaultAssemblyPool();
-  auto outcome = std::make_shared<Outcome>();
-  outcome->metrics = config.metrics;
-  outcome->auditor = config.auditor;
-  outcome->ResolveMetricHandles();
-  outcome->AdoptWorkers(config);
-  outcome->done = std::move(done);
-
-  // Tiles `total` into chunk_bytes-bounded fabric pieces (always at least
-  // one, so a zero-byte delta still round-trips the data plane and commits).
-  const auto make_pieces = [chunk_bytes](Bytes total) {
-    std::vector<Bytes> pieces;
-    const Bytes step = chunk_bytes > 0 ? std::min(chunk_bytes, std::max<Bytes>(total, 1)) : std::max<Bytes>(total, 1);
-    Bytes offset = 0;
-    do {
-      pieces.push_back(std::min(step, total - offset));
-      offset += step;
-    } while (offset < total);
-    return pieces;
-  };
-
-  std::vector<std::shared_ptr<Stream>> full_streams;
-  std::vector<std::shared_ptr<DeltaStream>> delta_streams;
-  for (int owner = 0; owner < cluster.size(); ++owner) {
-    if (!cluster.machine(owner).alive()) {
-      continue;
-    }
-    const Checkpoint& snapshot = snapshots[static_cast<size_t>(owner)];
-    const std::optional<DeltaCheckpoint>& delta = deltas[static_cast<size_t>(owner)];
-    for (const int dest : placement.RemoteDestinations(owner)) {
-      if (!cluster.machine(dest).alive()) {
-        continue;
-      }
-      CpuCheckpointStore* store = stores[static_cast<size_t>(dest)];
-      if (delta.has_value() && store->incremental() &&
-          store->ChainHeadIteration(owner) == delta->base_iteration) {
-        auto stream = std::make_shared<DeltaStream>();
-        stream->cluster = &cluster;
-        stream->outcome = outcome;
-        stream->store = store;
-        stream->delta = *delta;  // Shares the chunk payload buffers.
-        stream->source = owner;
-        stream->dest = dest;
-        stream->pieces = make_pieces(delta->delta_bytes);
-        stream->pool = &pool;
-        delta_streams.push_back(std::move(stream));
-        continue;
-      }
-      // No compatible sealed base on this holder: full snapshot stream.
-      auto stream = std::make_shared<Stream>();
-      stream->cluster = &cluster;
-      stream->outcome = outcome;
-      stream->store = store;
-      stream->snapshot = snapshot;  // Shares the payload buffer.
-      stream->source = owner;
-      stream->dest = dest;
-      stream->alpha = config.comm_alpha;
-      stream->assembled = pool.Acquire(snapshot.payload.size());
-      const Bytes total = snapshot.logical_bytes;
-      const Bytes step = chunk_bytes > 0 ? std::min(chunk_bytes, total) : total;
-      for (Bytes offset = 0; offset < total; offset += step) {
-        ChunkAssignment chunk;
-        chunk.bytes = std::min(step, total - offset);
-        chunk.offset = offset;
-        stream->chunks.push_back(chunk);
-      }
-      const Status begun = store->BeginWrite(owner, snapshot.iteration);
-      if (!begun.ok()) {
-        outcome->Fail(begun);
-        return;
-      }
-      full_streams.push_back(std::move(stream));
-    }
-    // Local replica over the owner's own PCIe links: delta-sized when the
-    // local chain head matches, full otherwise.
-    ++outcome->pending_streams;
-    CpuCheckpointStore* local = stores[static_cast<size_t>(owner)];
-    if (delta.has_value() && local->incremental() &&
-        local->ChainHeadIteration(owner) == delta->base_iteration) {
-      const TimeNs local_copy =
-          TransferTime(delta->delta_bytes, cluster.spec().gpu_cpu_copy_bandwidth);
-      cluster.sim().ScheduleAfter(local_copy,
-                                  [outcome, local, delta = *delta, &cluster]() mutable {
-                                    const Status written = local->WriteDelta(std::move(delta));
-                                    if (!written.ok()) {
-                                      outcome->Fail(written);
-                                      return;
-                                    }
-                                    outcome->StreamFinished(cluster.sim().now());
-                                  });
-    } else {
-      const TimeNs local_copy =
-          TransferTime(snapshot.logical_bytes, cluster.spec().gpu_cpu_copy_bandwidth);
-      cluster.sim().ScheduleAfter(local_copy, [outcome, local, snapshot, &cluster] {
-        const Status written = local->WriteComplete(snapshot);
-        if (!written.ok()) {
-          outcome->Fail(written);
-          return;
-        }
-        outcome->StreamFinished(cluster.sim().now());
-      });
-    }
-  }
-
-  outcome->pending_streams +=
-      static_cast<int>(full_streams.size() + delta_streams.size());
-  if (config.metrics != nullptr && !delta_streams.empty()) {
-    config.metrics->counter("replicator.delta_streams")
-        .Increment(static_cast<int64_t>(delta_streams.size()));
-  }
-  const int window = std::max(1, config.num_buffers);
-  for (const auto& stream : full_streams) {
-    for (int i = 0; i < window; ++i) {
-      stream->SendNext();
-    }
-  }
-  for (const auto& stream : delta_streams) {
     for (int i = 0; i < window; ++i) {
       stream->SendNext();
     }

@@ -18,7 +18,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -26,7 +25,6 @@
 #include "src/schedule/partition.h"
 #include "src/storage/checkpoint.h"
 #include "src/storage/cpu_store.h"
-#include "src/storage/delta.h"
 
 namespace gemini {
 
@@ -79,24 +77,6 @@ void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
                        const std::vector<ChunkAssignment>& chunks,
                        const ReplicatorConfig& config,
                        std::function<void(ReplicationOutcome)> done);
-
-// Incremental mode: replicates one global snapshot shipping only delta bytes
-// wherever possible. For each owner, `deltas[owner]` (when set) is streamed —
-// in `chunk_bytes`-bounded fabric pieces through the same fabric+PCIe data
-// plane — to every holder whose redo-chain head matches the delta's base
-// iteration; the receive side reassembles the delta payload into a fresh
-// buffer, re-verifies every chunk against its capture-time CRC fingerprint,
-// and appends it to the holder's chain (WriteDelta). Holders without a
-// matching sealed base (and owners with no delta) fall back to the full
-// chunked snapshot stream, so the committed state is identical either way —
-// only the bytes moved differ. `snapshots` must hold the full checkpoint for
-// every alive owner regardless.
-void ReplicateDeltaSnapshot(Cluster& cluster, const PlacementPlan& placement,
-                            std::vector<CpuCheckpointStore*> stores,
-                            const std::vector<Checkpoint>& snapshots,
-                            const std::vector<std::optional<DeltaCheckpoint>>& deltas,
-                            Bytes chunk_bytes, const ReplicatorConfig& config,
-                            std::function<void(ReplicationOutcome)> done);
 
 // Re-protection (recovery hardening): streams the latest CRC-verified
 // checkpoints back onto `target_ranks` (machines whose DRAM is fresh after a

@@ -9,6 +9,18 @@
 #include "src/policy/tiercheck_policy.h"
 
 namespace gemini {
+namespace {
+
+// Switch rules are evaluated at iterations divisible by this.
+constexpr int64_t kDecisionIntervalIterations = 16;
+// Growth per decision window of `system.redundancy.degraded_seconds` that
+// tips toward TierCheck's tighter persistent cadence.
+constexpr double kDegradedSecondsThreshold = 60.0;
+// Interference-inflation growth per decision window that tips toward
+// Checkmate (checkpoint traffic is colliding with training).
+constexpr TimeNs kInterferenceInflationThreshold = Seconds(2);
+
+}  // namespace
 
 ChameleonSelector::ChameleonSelector(const PolicyConfig& config)
     : options_(config.chameleon) {
@@ -16,7 +28,7 @@ ChameleonSelector::ChameleonSelector(const PolicyConfig& config)
   policies_[1] = std::make_unique<TierCheckPolicy>(config.tiercheck);
   policies_[2] = std::make_unique<CheckmatePolicy>(config.checkmate);
   policies_[3] = std::make_unique<RecomputePolicy>(config.recompute);
-  active_ = &policy_for(options_.initial);
+  active_ = policies_[0].get();  // Every run starts on GEMINI.
 }
 
 ProtectionPolicy& ChameleonSelector::policy_for(PolicyKind kind) {
@@ -30,7 +42,7 @@ ProtectionPolicy& ChameleonSelector::policy_for(PolicyKind kind) {
     case PolicyKind::kRecompute:
       return *policies_[3];
     case PolicyKind::kChameleon:
-      break;  // Validated out; fall through to the default below.
+      break;  // Never requested: the rules only pick concrete policies.
   }
   return *policies_[0];
 }
@@ -74,7 +86,7 @@ PolicyCostReport ChameleonSelector::CostReport(const PolicyHost& host) const {
 }
 
 void ChameleonSelector::MaybeSwitch(PolicyHost& host, int64_t iteration) {
-  if (iteration % options_.decision_interval_iterations != 0) {
+  if (iteration % kDecisionIntervalIterations != 0) {
     return;
   }
   if (switched_yet_ &&
@@ -94,10 +106,10 @@ void ChameleonSelector::MaybeSwitch(PolicyHost& host, int64_t iteration) {
   if (rate >= options_.high_failure_rate_per_hour) {
     want = PolicyKind::kGemini;
     reason = "failure_rate_high";
-  } else if (degraded_delta >= options_.degraded_seconds_threshold) {
+  } else if (degraded_delta >= kDegradedSecondsThreshold) {
     want = PolicyKind::kTierCheck;
     reason = "redundancy_degrading";
-  } else if (inflation_delta >= options_.interference_inflation_threshold) {
+  } else if (inflation_delta >= kInterferenceInflationThreshold) {
     want = PolicyKind::kCheckmate;
     reason = "checkpoint_interference";
   } else if (rate <= options_.low_failure_rate_per_hour) {

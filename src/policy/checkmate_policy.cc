@@ -1,6 +1,13 @@
 #include "src/policy/checkmate_policy.h"
 
 namespace gemini {
+namespace {
+
+// Gradient bytes per iteration relative to the full model-state shard
+// (gradients are one of the six mixed-precision state copies).
+constexpr double kGradientBytesFraction = 1.0 / 6.0;
+
+}  // namespace
 
 void CheckmatePolicy::Activate(PolicyHost& host) {
   ProtectionPolicy::Activate(host);
@@ -20,7 +27,7 @@ IterationPlan CheckmatePolicy::PlanIteration(PolicyHost& host, int64_t iteration
   plan.added_stall = static_cast<TimeNs>(
       options_.stall_fraction * static_cast<double>(plan.iteration_duration));
   const Bytes gradient_bytes = static_cast<Bytes>(
-      options_.gradient_bytes_fraction * static_cast<double>(host.replica_bytes()));
+      kGradientBytesFraction * static_cast<double>(host.replica_bytes()));
   gradient_bytes_counter_->Increment(gradient_bytes);
   logged_iterations_counter_->Increment();
   return plan;

@@ -1,6 +1,6 @@
 // Shared checkpoint-cost arithmetic.
 //
-// The related-work models (src/baselines/related_work.cc) and the protection
+// The baseline system models (src/baselines/system_model.cc) and the protection
 // policies schedule checkpoints by the same rules — iteration-aligned,
 // budget-capped frequency. One copy here keeps baseline numbers and policy
 // numbers from drifting apart (they used to be re-derived independently on

@@ -68,9 +68,6 @@ Status PolicyConfig::Validate() const {
   if (tiercheck.overhead_budget <= 0.0 || tiercheck.overhead_budget >= 1.0) {
     return InvalidArgumentError("tiercheck.overhead_budget must be in (0, 1)");
   }
-  if (checkmate.gradient_bytes_fraction <= 0.0 || checkmate.gradient_bytes_fraction > 1.0) {
-    return InvalidArgumentError("checkmate.gradient_bytes_fraction must be in (0, 1]");
-  }
   if (checkmate.stall_fraction < 0.0 || checkmate.stall_fraction >= 1.0) {
     return InvalidArgumentError("checkmate.stall_fraction must be in [0, 1)");
   }
@@ -79,12 +76,6 @@ Status PolicyConfig::Validate() const {
   }
   if (recompute.recompute_iterations < 0.0) {
     return InvalidArgumentError("recompute.recompute_iterations must be non-negative");
-  }
-  if (chameleon.initial == PolicyKind::kChameleon) {
-    return InvalidArgumentError("chameleon.initial must name a concrete policy");
-  }
-  if (chameleon.decision_interval_iterations < 1) {
-    return InvalidArgumentError("chameleon.decision_interval_iterations must be >= 1");
   }
   if (chameleon.min_iterations_between_switches < 0) {
     return InvalidArgumentError("chameleon.min_iterations_between_switches must be >= 0");

@@ -205,9 +205,6 @@ struct TierCheckOptions {
 };
 
 struct CheckmateOptions {
-  // Gradient bytes per iteration relative to the full model-state shard
-  // (gradients are one of the six mixed-precision state copies).
-  double gradient_bytes_fraction = 1.0 / 6.0;
   // Per-iteration training stall of logging gradients to peers (they ride
   // the backward pass's existing all-reduce; near-zero by design).
   double stall_fraction = 0.002;
@@ -221,24 +218,17 @@ struct RecomputeOptions {
   double recompute_iterations = 2.0;
 };
 
+// The selector always starts on GEMINI; its decision cadence and its
+// degradation/interference growth thresholds are constants in
+// chameleon_selector.cc.
 struct ChameleonOptions {
-  PolicyKind initial = PolicyKind::kGemini;
-  // Switch rules are evaluated every `decision_interval_iterations`, with at
-  // least `min_iterations_between_switches` between switches (hysteresis).
-  int64_t decision_interval_iterations = 16;
+  // At least this many iterations between switches (hysteresis).
   int64_t min_iterations_between_switches = 32;
   // Failure-rate band (failures/hour, auditor-observed): above the high
   // water mark buy the fastest recovery (GEMINI); below the low water mark
   // shed checkpoint overhead (Checkmate).
   double high_failure_rate_per_hour = 1.0;
   double low_failure_rate_per_hour = 0.05;
-  // Redundancy-degradation growth per decision window (seconds of
-  // `system.redundancy.degraded_seconds`) that tips toward TierCheck's
-  // tighter persistent cadence.
-  double degraded_seconds_threshold = 60.0;
-  // Interference-inflation growth per decision window that tips toward
-  // Checkmate (checkpoint traffic is colliding with training).
-  TimeNs interference_inflation_threshold = Seconds(2);
 };
 
 struct PolicyConfig {

@@ -18,7 +18,6 @@
 #include "src/cluster/machine.h"
 #include "src/common/status.h"
 #include "src/storage/checkpoint.h"
-#include "src/storage/checkpoint_store.h"
 #include "src/storage/delta.h"
 
 namespace gemini {
@@ -27,11 +26,9 @@ class Counter;
 class Gauge;
 class MetricsRegistry;
 
-class CpuCheckpointStore : public CheckpointStore {
+class CpuCheckpointStore {
  public:
   explicit CpuCheckpointStore(Machine& machine) : machine_(&machine) {}
-
-  std::string_view tier_name() const override { return "cpu_memory"; }
 
   // Optional observability sink ("cpu_store.*" counters); survives
   // ResetForMachine (the registry outlives machine incarnations). Counter
@@ -68,7 +65,6 @@ class CpuCheckpointStore : public CheckpointStore {
   // materializes base+chain transparently — callers never see the chain.
   // The chain is folded into a new base when `config` caps are exceeded.
   void ConfigureRedoLog(const RedoLogConfig& config);
-  bool incremental() const { return log_config_.has_value(); }
 
   // Appends one delta to the owner's chain. The delta must extend the chain
   // head exactly (epoch sealing); a stale or gapped delta is rejected and
@@ -92,13 +88,13 @@ class CpuCheckpointStore : public CheckpointStore {
   // treated as absent (and counted under "cpu_store.crc_failures"). Every
   // recovery read goes through this so a torn or bit-flipped replica can
   // never be restored silently.
-  std::optional<Checkpoint> LatestVerified(int owner_rank) const override;
+  std::optional<Checkpoint> LatestVerified(int owner_rank) const;
   // Iteration of the latest completed checkpoint, or -1.
-  int64_t LatestIteration(int owner_rank) const override;
+  int64_t LatestIteration(int owner_rank) const;
 
   // Fault injection: flips one payload bit of the owner's completed replica
   // (the checkpoint bit-rot the CRC reads exist to catch).
-  Status CorruptLatest(int owner_rank, size_t bit_index) override;
+  Status CorruptLatest(int owner_rank, size_t bit_index);
 
   Bytes reserved_bytes() const { return reserved_; }
 

@@ -349,41 +349,6 @@ int64_t PersistentStore::LatestCompleteIteration() const {
   return -1;
 }
 
-std::optional<Checkpoint> PersistentStore::LatestVerified(int owner_rank) const {
-  const int64_t iteration = LatestIteration(owner_rank);
-  if (iteration < 0) {
-    return std::nullopt;
-  }
-  std::optional<Checkpoint> shard = Peek(owner_rank, iteration);
-  if (!shard.has_value()) {
-    return std::nullopt;
-  }
-  if (!shard->IntegrityOk()) {
-    if (crc_failures_counter_ != nullptr) {
-      crc_failures_counter_->Increment();
-    }
-    return std::nullopt;
-  }
-  return shard;
-}
-
-int64_t PersistentStore::LatestIteration(int owner_rank) const {
-  const int64_t iteration = LatestCompleteIteration();
-  if (iteration < 0 || !Peek(owner_rank, iteration).has_value()) {
-    return -1;
-  }
-  return iteration;
-}
-
-Status PersistentStore::CorruptLatest(int owner_rank, size_t bit_index) {
-  const int64_t iteration = LatestIteration(owner_rank);
-  if (iteration < 0) {
-    return NotFoundError("no durable shard for rank " + std::to_string(owner_rank) +
-                         " in any complete checkpoint");
-  }
-  return CorruptShard(owner_rank, iteration, bit_index);
-}
-
 void PersistentStore::SeedImmediate(Checkpoint checkpoint, int expected_world_size) {
   assert(checkpoint.valid());
   const int64_t iteration = checkpoint.iteration;

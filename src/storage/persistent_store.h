@@ -23,8 +23,8 @@
 #include "src/common/units.h"
 #include "src/sim/simulator.h"
 #include "src/storage/checkpoint.h"
-#include "src/storage/checkpoint_store.h"
 #include "src/storage/delta.h"
+#include "src/storage/retry_policy.h"
 #include "src/storage/serializer.h"
 
 namespace gemini {
@@ -49,7 +49,7 @@ struct PersistentStoreConfig {
   TimeNs retrieval_backoff_base = Millis(100);
   TimeNs retrieval_backoff_cap = Seconds(2);
 
-  // The shared schedule the cascade follows (src/storage/checkpoint_store.h).
+  // The shared schedule the cascade follows (src/storage/retry_policy.h).
   RetryPolicy retry_policy() const {
     return RetryPolicy{retrieval_max_attempts, retrieval_backoff_base, retrieval_backoff_cap};
   }
@@ -58,14 +58,12 @@ struct PersistentStoreConfig {
 class Counter;
 class MetricsRegistry;
 
-class PersistentStore : public CheckpointStore {
+class PersistentStore {
  public:
   PersistentStore(Simulator& sim, PersistentStoreConfig config)
       : sim_(sim), config_(config) {}
 
   const PersistentStoreConfig& config() const { return config_; }
-
-  std::string_view tier_name() const override { return "persistent"; }
 
   // Optional observability sink ("persistent.*" counters). Counter handles
   // are resolved here, once, per the hot-path metric convention
@@ -92,7 +90,6 @@ class PersistentStore : public CheckpointStore {
   // LatestCompleteIteration) is unchanged and the chain is invisible to
   // readers. Chains fold into a new base at the configured caps.
   void ConfigureRedoLog(const RedoLogConfig& config);
-  bool incremental() const { return log_config_.has_value(); }
 
   // Uploads one rank's delta on top of the owner's chain head. Deltas must
   // be scheduled in epoch order on top of the previously scheduled state
@@ -128,17 +125,6 @@ class PersistentStore : public CheckpointStore {
   // Latest iteration for which all `world_size` shards are durable; -1 if
   // none.
   int64_t LatestCompleteIteration() const;
-
-  // CheckpointStore read-for-recovery surface. `LatestVerified` serves the
-  // rank's shard of the latest *complete* global checkpoint — but only if its
-  // payload still matches the capture-time CRC (a rejected shard counts under
-  // "persistent_store.crc_failures", like the retrieval cascade). These are
-  // immediate (zero-time) reads; timed recovery fetches still go through
-  // Retrieve() and the shared-bandwidth FIFO.
-  std::optional<Checkpoint> LatestVerified(int owner_rank) const override;
-  int64_t LatestIteration(int owner_rank) const override;
-  // Flips a bit in the rank's shard of the latest complete checkpoint.
-  Status CorruptLatest(int owner_rank, size_t bit_index) override;
 
   // Immediate (zero-time) lookup used by analysis code and tests.
   std::optional<Checkpoint> Peek(int owner_rank, int64_t iteration) const;

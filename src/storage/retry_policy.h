@@ -1,0 +1,40 @@
+// Capped-exponential-backoff schedule shared by the checkpoint retrieval
+// cascades: the persistent store's per-shard retries and GeminiSystem's
+// peer-retrieval pass both follow it (attempt 0 is immediate; attempt n
+// waits base * 2^(n-1), capped), so the backoff curve cannot drift between
+// them.
+#ifndef SRC_STORAGE_RETRY_POLICY_H_
+#define SRC_STORAGE_RETRY_POLICY_H_
+
+#include <algorithm>
+
+#include "src/common/units.h"
+
+namespace gemini {
+
+struct RetryPolicy {
+  int max_attempts = 4;
+  TimeNs backoff_base = Millis(100);
+  TimeNs backoff_cap = Seconds(2);
+
+  // Delay before (1-based) `attempt`: 0 for attempt <= 0, then the base
+  // doubling per attempt until the cap.
+  constexpr TimeNs BackoffBefore(int attempt) const {
+    if (attempt <= 0) {
+      return 0;
+    }
+    TimeNs backoff = backoff_base;
+    for (int i = 1; i < attempt && backoff < backoff_cap; ++i) {
+      backoff *= 2;
+    }
+    return std::min(backoff, backoff_cap);
+  }
+
+  // True once `attempts_made` (0-based count of attempts already made) has
+  // exhausted the cap.
+  constexpr bool Exhausted(int attempts_made) const { return attempts_made >= max_attempts; }
+};
+
+}  // namespace gemini
+
+#endif  // SRC_STORAGE_RETRY_POLICY_H_

@@ -2,7 +2,6 @@
 // GEMINI), cross-checked against the paper's reported numbers.
 #include <gtest/gtest.h>
 
-#include "src/baselines/related_work.h"
 #include "src/baselines/system_model.h"
 #include "src/training/model_config.h"
 

@@ -70,11 +70,6 @@ TEST(PolicyConfigTest, RejectsBadKnobs) {
   config.recompute.recompute_iterations = -1.0;
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 
-  // A selector cannot start as itself.
-  config = PolicyConfig{};
-  config.chameleon.initial = PolicyKind::kChameleon;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-
   // The failure-rate band must be a band.
   config = PolicyConfig{};
   config.chameleon.low_failure_rate_per_hour = 2.0;
@@ -112,7 +107,7 @@ TEST(PolicyFactoryTest, BuildsEveryKind) {
       {PolicyKind::kTierCheck, "tiercheck", true},
       {PolicyKind::kCheckmate, "checkmate", false},
       {PolicyKind::kRecompute, "recompute", false},
-      {PolicyKind::kChameleon, "chameleon", true},  // Delegates to initial=gemini.
+      {PolicyKind::kChameleon, "chameleon", true},  // Starts on gemini.
   };
   for (const auto& want : expected) {
     config.kind = want.kind;
@@ -223,6 +218,33 @@ TEST(CheckmatePolicyTest, ReplayRecoveryLosesNoProgress) {
   EXPECT_GT(system.metrics().counter_value("policy.checkmate.logged_iterations"), 0);
 }
 
+TEST(CheckmatePolicyTest, FailedReplayFallsThroughToPersistentRollback) {
+  // Checkmate's chain is [replay, persistent]: when the replay step's base
+  // fetch exhausts its retries, recovery must degrade to a plain persistent
+  // rollback instead of ending the run.
+  GeminiConfig config = SmallConfig();
+  config.policy.kind = PolicyKind::kCheckmate;
+  GeminiSystem system(config);
+  ASSERT_TRUE(system.Initialize().ok());
+  int rank3_reads = 0;
+  system.persistent_store().set_fault_hook(
+      [&rank3_reads, &config](int owner_rank, int64_t iteration, int attempt) {
+        (void)iteration;
+        (void)attempt;
+        if (owner_rank == 3 && rank3_reads++ < config.persistent.retrieval_max_attempts) {
+          return UnavailableError("injected persistent read fault");
+        }
+        return Status::Ok();
+      });
+  system.failure_injector().InjectAt(Minutes(4), FailureType::kSoftware, {3});
+  const StatusOr<TrainingReport> report = system.TrainUntil(60, Hours(2));
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->recoveries.size(), 1u);
+  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kPersistentStorage);
+  EXPECT_EQ(report->iterations_completed, 60);
+  ExpectStateMatchesReference(system, config, 60);
+}
+
 // ---------------------------------------------------------------------------
 // RecomputePolicy: checkpoint-free, fixed-cost in-place rebuild
 // ---------------------------------------------------------------------------
@@ -254,7 +276,6 @@ TEST(RecomputePolicyTest, HardwareRecoveryRecomputesWithoutCheckpoints) {
 GeminiConfig ChameleonStormConfig() {
   GeminiConfig config = SmallConfig();
   config.policy.kind = PolicyKind::kChameleon;
-  config.policy.chameleon.initial = PolicyKind::kGemini;
   return config;
 }
 
