@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh            # plain build + full ctest, committed-JSON and
 #                            # perfbench self-checks, then Release (-O2)
-#                            # build + ctest, then ASan+UBSan ctest
+#                            # build + ctest, then ASan+UBSan ctest, then
+#                            # TSan on the threaded data path
 #   scripts/ci.sh --fast     # plain build + full ctest only
 #
 # The Release pass builds into a separate tree (build-release/) with
@@ -12,8 +13,11 @@
 # an -O2-only miscompile or assert-hidden bug surfaces before merge. The
 # sanitizer pass builds into build-asan/ with
 # -DGEMINI_SANITIZE=address,undefined so the instrumented binaries never mix
-# with the plain ones. TSan is available via -DGEMINI_SANITIZE=thread but is
-# not part of the default CI matrix (the simulator is single-threaded).
+# with the plain ones. The TSan pass builds into build-tsan/ with
+# -DGEMINI_SANITIZE=thread and runs the suites that exercise worker threads:
+# the simulator itself is single-threaded, but the ThreadPool, the parallel
+# CRC/serializer, the replicator's stream assembly and the pipelined
+# capture/verify path (pipeline_threads > 1) are not.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -77,6 +81,18 @@ echo "==> sanitizer pass: ctest -L delta (incremental checkpoints under ASan+UBS
 
 echo "==> sanitizer pass: ctest (remaining suites)"
 (cd build-asan && ctest --output-on-failure -LE 'obs|policy|delta' -j"$(nproc)")
+
+echo "==> TSan pass: configure + build (thread)"
+cmake -B build-tsan -S . -DGEMINI_SANITIZE=thread >/dev/null
+cmake --build build-tsan -j --target common_test storage_test replicator_test \
+  gemini_system_test
+
+echo "==> TSan pass: threaded data path"
+./build-tsan/tests/common_test --gtest_filter='ThreadPool*:Crc32*'
+./build-tsan/tests/storage_test
+./build-tsan/tests/replicator_test
+./build-tsan/tests/gemini_system_test \
+  --gtest_filter='*PipelineThreadsDoNotChangeSimulatedResults*'
 
 # Smoke-run the auditor bench: its shape check gates the zero-overhead and
 # determinism claims, and an uncapped tracer dropping records is a regression

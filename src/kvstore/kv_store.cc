@@ -262,6 +262,8 @@ void KvNode::ResetAndRestart() {
   votes_received_ = 0;
   leader_index_.reset();
   log_.clear();
+  snapshot_index_ = 0;
+  snapshot_term_ = 0;
   commit_index_ = 0;
   last_applied_ = 0;
   pending_proposals_.clear();
@@ -432,20 +434,34 @@ void KvNode::OnHeartbeatTick() {
 void KvNode::ReplicateTo(int peer_index) {
   const uint64_t next = next_index_[static_cast<size_t>(peer_index)];
   const uint64_t prev_index = next - 1;
-  const uint64_t prev_term = prev_index == 0 ? 0 : log_[prev_index - 1].term;
-  std::vector<LogEntry> entries(log_.begin() + static_cast<std::ptrdiff_t>(prev_index),
+  uint64_t prev_term = 0;
+  std::shared_ptr<const Snapshot> snapshot;
+  uint64_t first = next;  // First log index the message carries.
+  if (prev_index < snapshot_index_) {
+    // The entries the peer needs are folded into the snapshot: ship the
+    // applied state in their place.
+    snapshot = std::make_shared<Snapshot>(
+        Snapshot{last_applied_, TermAt(last_applied_), state_, leases_, next_lease_id_});
+    first = last_applied_ + 1;
+  } else {
+    prev_term = TermAt(prev_index);
+  }
+  std::vector<LogEntry> entries(log_.begin() + static_cast<std::ptrdiff_t>(first - 1 -
+                                                                           snapshot_index_),
                                 log_.end());
   KvNode* target = cluster_.nodes_[static_cast<size_t>(peer_index)].get();
   const uint64_t term = term_;
   const int self = index_;
   const uint64_t commit = commit_index_;
-  Send(peer_index,
-       [target, term, self, prev_index, prev_term, entries = std::move(entries), commit] {
-         target->OnAppendEntries(term, self, prev_index, prev_term, entries, commit);
-       });
+  Send(peer_index, [target, term, self, prev_index, prev_term,
+                    snapshot = std::move(snapshot),
+                    entries = std::move(entries), commit] {
+    target->OnAppendEntries(term, self, prev_index, prev_term, snapshot, entries, commit);
+  });
 }
 
 void KvNode::OnAppendEntries(uint64_t term, int leader, uint64_t prev_index, uint64_t prev_term,
+                             std::shared_ptr<const Snapshot> snapshot,
                              std::vector<LogEntry> entries, uint64_t leader_commit) {
   if (!alive()) {
     return;
@@ -454,42 +470,31 @@ void KvNode::OnAppendEntries(uint64_t term, int leader, uint64_t prev_index, uin
     BecomeFollower(term);
   }
   bool success = false;
-  uint64_t match = 0;
+  // On rejection, hint the leader where our log ends so walk-back is O(1).
+  uint64_t match = LastLogIndex();
   if (term == term_) {
     if (role_ == Role::kCandidate) {
       BecomeFollower(term);
     }
     leader_index_ = leader;
     ResetElectionTimer();
+    // A snapshot's leader no longer knows the term at prev_index, but that
+    // entry is committed: holding the index means holding the entry.
     const bool prev_ok =
-        prev_index == 0 || (prev_index <= LastLogIndex() && log_[prev_index - 1].term == prev_term);
+        snapshot != nullptr ? prev_index <= LastLogIndex() : HasEntry(prev_index, prev_term);
     if (prev_ok) {
-      // Truncate any conflicting suffix and append.
-      uint64_t insert = prev_index;
-      for (auto& entry : entries) {
-        if (insert < LastLogIndex()) {
-          if (log_[insert].term != entry.term) {
-            log_.resize(insert);
-            log_.push_back(std::move(entry));
-          }
-          // else: already present, keep it.
-        } else {
-          log_.push_back(std::move(entry));
-        }
-        ++insert;
+      uint64_t prev = prev_index;
+      if (snapshot != nullptr) {
+        InstallSnapshot(*snapshot);
+        prev = snapshot->index;
       }
+      match = AppendAfter(prev, std::move(entries));
       success = true;
-      match = insert;
       if (leader_commit > commit_index_) {
         commit_index_ = std::min(leader_commit, LastLogIndex());
         ApplyCommitted();
       }
-    } else {
-      // Hint the leader where our log ends so walk-back is O(1).
-      match = LastLogIndex();
     }
-  } else {
-    match = LastLogIndex();
   }
   KvNode* target = cluster_.nodes_[static_cast<size_t>(leader)].get();
   const uint64_t reply_term = term_;
@@ -497,6 +502,45 @@ void KvNode::OnAppendEntries(uint64_t term, int leader, uint64_t prev_index, uin
   Send(leader, [target, self, reply_term, success, match] {
     target->OnAppendEntriesReply(self, reply_term, success, match);
   });
+}
+
+void KvNode::InstallSnapshot(const Snapshot& snapshot) {
+  if (snapshot.index <= last_applied_) {
+    return;  // Already applied at least this far; the entries merge as usual.
+  }
+  // Keep the suffix only if it extends the snapshot's last entry (Raft's
+  // InstallSnapshot rule); otherwise the whole log is stale.
+  if (snapshot.index <= LastLogIndex() && TermAt(snapshot.index) == snapshot.term) {
+    log_.erase(log_.begin(),
+               log_.begin() + static_cast<std::ptrdiff_t>(snapshot.index - snapshot_index_));
+  } else {
+    log_.clear();
+  }
+  snapshot_index_ = snapshot.index;
+  snapshot_term_ = snapshot.term;
+  state_ = snapshot.state;
+  leases_ = snapshot.leases;
+  next_lease_id_ = snapshot.next_lease_id;
+  last_applied_ = snapshot.index;
+  commit_index_ = std::max(commit_index_, snapshot.index);
+}
+
+uint64_t KvNode::AppendAfter(uint64_t prev, std::vector<LogEntry> entries) {
+  uint64_t index = prev;
+  for (LogEntry& entry : entries) {
+    ++index;
+    if (index <= snapshot_index_) {
+      continue;  // Folded into the snapshot: committed, hence identical.
+    }
+    if (index <= LastLogIndex()) {
+      if (TermAt(index) == entry.term) {
+        continue;  // Already present, keep it.
+      }
+      log_.resize(index - snapshot_index_ - 1);  // Truncate the conflicting suffix.
+    }
+    log_.push_back(std::move(entry));
+  }
+  return index;
 }
 
 void KvNode::OnAppendEntriesReply(int from, uint64_t term, bool success, uint64_t match_index) {
@@ -529,7 +573,7 @@ void KvNode::AdvanceCommit() {
   const int majority = static_cast<int>(n) / 2 + 1;
   for (uint64_t candidate = LastLogIndex(); candidate > commit_index_; --candidate) {
     // Raft commit rule: only entries of the current term commit by counting.
-    if (log_[candidate - 1].term != term_) {
+    if (TermAt(candidate) != term_) {
       break;
     }
     int replicas = 0;
@@ -550,7 +594,7 @@ void KvNode::ApplyCommitted() {
   std::vector<WatchEvent> all_events;
   while (last_applied_ < commit_index_) {
     ++last_applied_;
-    const KvOp& op = log_[last_applied_ - 1].op;
+    const KvOp& op = Entry(last_applied_).op;
     std::vector<WatchEvent> events = ApplyOp(op, last_applied_);
     all_events.insert(all_events.end(), events.begin(), events.end());
     auto pending = pending_proposals_.find(last_applied_);
@@ -558,6 +602,12 @@ void KvNode::ApplyCommitted() {
       pending->second(Status::Ok());
       pending_proposals_.erase(pending);
     }
+  }
+  if (last_applied_ - snapshot_index_ >= kSnapshotEvery) {
+    snapshot_term_ = TermAt(last_applied_);
+    log_.erase(log_.begin(),
+               log_.begin() + static_cast<std::ptrdiff_t>(last_applied_ - snapshot_index_));
+    snapshot_index_ = last_applied_;
   }
   // Watch events are emitted by the leader only, so the cluster sees each
   // commit once per stable leadership.

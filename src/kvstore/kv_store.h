@@ -8,9 +8,19 @@
 //
 // Consensus scope: full Raft leader election (terms, randomized timeouts,
 // vote safety via last-log checks) and log replication with commit on
-// majority. Log divergence repair uses the match-index walk-back; snapshots
-// are unnecessary because logs stay small at simulation scale. Reads are
+// majority. Log divergence repair uses the match-index walk-back. Reads are
 // served by the leader from applied state.
+//
+// Log compaction: the health keepalives and checkpoint bookkeeping of a long
+// run propose entries without end, so every KvNode folds its applied prefix
+// into a snapshot every kSnapshotEvery entries. The snapshot is the applied
+// state machine itself (keys, leases, next lease id) plus the index and term
+// of its last entry; only the log suffix after it is kept. A follower whose
+// next index falls inside a leader's snapshot (a replaced member rejoining
+// with an empty log, or one that fell far behind) gets one InstallSnapshot
+// message instead of the log: the leader's applied state, the log suffix
+// after it and the commit index. It ends in the state a full-log catch-up
+// would have produced.
 #ifndef SRC_KVSTORE_KV_STORE_H_
 #define SRC_KVSTORE_KV_STORE_H_
 
@@ -144,9 +154,13 @@ class KvNode {
 
   void Start();
 
+  // Applied entries folded into a snapshot at a time (see the file comment).
+  static constexpr uint64_t kSnapshotEvery = 4096;
+
   // Rejoins the cluster with empty state after its machine was replaced; the
-  // node catches up from the leader via the AppendEntries walk-back. (Real
-  // etcd would use a membership change; wiping state is the simulation-scale
+  // node catches up from the leader via the AppendEntries walk-back, which
+  // ends in an InstallSnapshot once the leader has compacted. (Real etcd
+  // would use a membership change; wiping state is the simulation-scale
   // equivalent.)
   void ResetAndRestart();
 
@@ -156,6 +170,10 @@ class KvNode {
   bool alive() const;
   uint64_t commit_index() const { return commit_index_; }
   uint64_t last_applied() const { return last_applied_; }
+  // Index of the last log entry, including entries folded into the snapshot.
+  uint64_t log_length() const { return LastLogIndex(); }
+  // Index of the last entry folded into the snapshot (0 before the first).
+  uint64_t snapshot_index() const { return snapshot_index_; }
   const std::map<std::string, KvEntry>& applied_state() const { return state_; }
 
   // Leader-side entry point used by the cluster client API.
@@ -180,12 +198,25 @@ class KvNode {
     std::vector<std::string> keys;
   };
 
+  // The applied state machine after entry `index` (of term `term`).
+  struct Snapshot {
+    uint64_t index = 0;
+    uint64_t term = 0;
+    std::map<std::string, KvEntry> state;
+    std::map<LeaseId, LeaseState> leases;
+    LeaseId next_lease_id = 1;
+  };
+
   // -- Message handlers (invoked via fabric control messages). --
   void OnRequestVote(uint64_t term, int candidate, uint64_t last_log_index,
                      uint64_t last_log_term);
   void OnRequestVoteReply(uint64_t term, bool granted);
+  // AppendEntries, or InstallSnapshot when `snapshot` is set: the leader no
+  // longer holds entries prev_index+1..snapshot->index, so it ships its
+  // applied state for them and `entries` start after snapshot->index.
   void OnAppendEntries(uint64_t term, int leader, uint64_t prev_index, uint64_t prev_term,
-                       std::vector<LogEntry> entries, uint64_t leader_commit);
+                       std::shared_ptr<const Snapshot> snapshot, std::vector<LogEntry> entries,
+                       uint64_t leader_commit);
   void OnAppendEntriesReply(int from, uint64_t term, bool success, uint64_t match_index);
 
   // -- Timers --
@@ -197,7 +228,16 @@ class KvNode {
   void BecomeLeader();
   void StartElection();
   void ReplicateTo(int peer_index);
+  // Replaces the applied state with `snapshot` unless this node has already
+  // applied that far; keeps the log suffix only if it extends the snapshot.
+  void InstallSnapshot(const Snapshot& snapshot);
+  // Merges `entries` (indices after `prev`, which matches the leader) into
+  // the log, truncating at the first conflicting term; returns the index of
+  // the last merged entry.
+  uint64_t AppendAfter(uint64_t prev, std::vector<LogEntry> entries);
   void AdvanceCommit();
+  // Applies committed entries, then folds the applied prefix into the
+  // snapshot once it reaches kSnapshotEvery entries.
   void ApplyCommitted();
   // Applies one op to the state machine; returns watch events it produced.
   std::vector<WatchEvent> ApplyOp(const KvOp& op, uint64_t index);
@@ -210,8 +250,19 @@ class KvNode {
 
   void Send(int peer_index, std::function<void()> handler);
 
-  uint64_t LastLogIndex() const { return static_cast<uint64_t>(log_.size()); }
-  uint64_t LastLogTerm() const { return log_.empty() ? 0 : log_.back().term; }
+  uint64_t LastLogIndex() const { return snapshot_index_ + log_.size(); }
+  uint64_t LastLogTerm() const { return log_.empty() ? snapshot_term_ : log_.back().term; }
+  // Entry/term at `index`, for snapshot_index_ < index <= LastLogIndex()
+  // (TermAt also accepts snapshot_index_ itself).
+  const LogEntry& Entry(uint64_t index) const { return log_[index - snapshot_index_ - 1]; }
+  uint64_t TermAt(uint64_t index) const {
+    return index == snapshot_index_ ? snapshot_term_ : Entry(index).term;
+  }
+  // True when this log holds the entry (`index`, `term`). Entries folded into
+  // the snapshot are committed, so they match whatever a leader holds there.
+  bool HasEntry(uint64_t index, uint64_t term) const {
+    return index < snapshot_index_ || (index <= LastLogIndex() && TermAt(index) == term);
+  }
 
   KvStoreCluster& cluster_;
   int index_;
@@ -224,8 +275,11 @@ class KvNode {
   int votes_received_ = 0;
   std::optional<int> leader_index_;
 
-  // Log is 1-indexed externally: log_[i-1] holds index i.
+  // Log is 1-indexed externally: entries up to snapshot_index_ are folded
+  // into the applied state; log_[i - snapshot_index_ - 1] holds index i.
   std::vector<LogEntry> log_;
+  uint64_t snapshot_index_ = 0;
+  uint64_t snapshot_term_ = 0;
   uint64_t commit_index_ = 0;
   uint64_t last_applied_ = 0;
 

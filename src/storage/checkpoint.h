@@ -80,6 +80,9 @@ class PayloadRef {
   }
   // Outstanding handles on the underlying buffer (0 for an empty ref).
   long use_count() const { return buffer_.use_count(); }  // NOLINT(google-runtime-int)
+  // Floats the underlying buffer holds — what this view keeps alive, which
+  // may be more than size().
+  size_t buffer_size() const { return buffer_ ? buffer_->size() : 0; }
 
   // Copy-on-write escape hatch for the corruption test hooks: detaches this
   // handle onto a private full-buffer copy of the viewed floats and returns

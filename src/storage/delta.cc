@@ -22,6 +22,77 @@ Bytes ProrateBytes(Bytes logical_bytes, size_t moved_elements, size_t payload_el
                              static_cast<double>(payload_elements)));
 }
 
+// A chain state mid-replay: the mutable floats of the checkpoint at
+// `iteration` (digest `crc`) for `owner_rank`.
+struct ReplayState {
+  int owner_rank = -1;
+  int64_t iteration = -1;
+  uint32_t crc = 0;
+  std::vector<float> floats;
+
+  static ReplayState Of(const Checkpoint& checkpoint) {
+    return ReplayState{checkpoint.owner_rank, checkpoint.iteration, checkpoint.payload_crc,
+                       checkpoint.payload.ToVector()};
+  }
+
+  // Freezes the floats into the full checkpoint they now hold.
+  Checkpoint Seal(Bytes logical_bytes) && {
+    Checkpoint result;
+    result.owner_rank = owner_rank;
+    result.iteration = iteration;
+    result.logical_bytes = logical_bytes;
+    result.payload = std::move(floats);
+    result.payload_crc = crc;
+    return result;
+  }
+};
+
+// Splices `delta` into `state` in place, verifying (1) the base binding
+// (owner, iteration, geometry, base CRC), (2) every chunk's CRC before its
+// bytes land, and (3) the spliced floats against `state_crc`. On success
+// `state` stands for the delta's iteration; on failure its floats are
+// unspecified.
+Status SpliceDelta(ReplayState& state, const DeltaCheckpoint& delta) {
+  if (state.owner_rank != delta.owner_rank) {
+    return InvalidArgumentError("delta applied to a different owner's base");
+  }
+  if (state.iteration != delta.base_iteration) {
+    return FailedPreconditionError(
+        "delta base iteration " + std::to_string(delta.base_iteration) +
+        " does not match checkpoint iteration " + std::to_string(state.iteration));
+  }
+  if (state.floats.size() != delta.payload_elements) {
+    return InvalidArgumentError("delta payload geometry does not match the base");
+  }
+  if (state.crc != delta.base_crc) {
+    return DataLossError("delta base CRC mismatch: base state is not the one the delta sealed");
+  }
+  for (const DeltaChunk& chunk : delta.chunks) {
+    const size_t begin = chunk.chunk_index * delta.chunk_elements;
+    if (begin + chunk.data.size() > state.floats.size()) {
+      return DataLossError("delta chunk overflows the shard");
+    }
+    // Per-chunk CRC gate: a bit-flipped slice must fail here, before any
+    // byte lands in the materialized state.
+    if (Crc32(chunk.data.data(), chunk.data.size_bytes()) != chunk.crc) {
+      return DataLossError("delta chunk " + std::to_string(chunk.chunk_index) +
+                           " failed its CRC check");
+    }
+    std::copy(chunk.data.begin(), chunk.data.end(), state.floats.begin() + begin);
+  }
+  // End-to-end gate: the materialized state must match the digest recorded
+  // when the delta was built.
+  const uint32_t crc = state.floats.empty()
+                           ? 0
+                           : Crc32(state.floats.data(), state.floats.size() * sizeof(float));
+  if (crc != delta.state_crc) {
+    return DataLossError("materialized delta state failed its full-state CRC check");
+  }
+  state.iteration = delta.iteration;
+  state.crc = crc;
+  return Status::Ok();
+}
+
 }  // namespace
 
 StatusOr<DeltaCheckpoint> BuildDeltaCheckpoint(const Checkpoint& base, const Checkpoint& current,
@@ -75,53 +146,28 @@ StatusOr<DeltaCheckpoint> BuildDeltaCheckpoint(const Checkpoint& base, const Che
     }
     delta.chunks.push_back(DeltaChunk{chunk, current_slice, current_crc});
   }
+  // Pack the changed chunks into one buffer the delta owns. The slices above
+  // view the whole capture; kept, they would pin every byte of it for as
+  // long as the delta sits in a chain.
+  std::vector<float> packed;
+  packed.reserve(delta.delta_elements());
+  for (const DeltaChunk& chunk : delta.chunks) {
+    packed.insert(packed.end(), chunk.data.begin(), chunk.data.end());
+  }
+  const PayloadRef owned(std::move(packed));
+  size_t offset = 0;
+  for (DeltaChunk& chunk : delta.chunks) {
+    chunk.data = owned.Slice(offset, chunk.data.size());
+    offset += chunk.data.size();
+  }
   delta.delta_bytes = ProrateBytes(delta.logical_bytes, delta.delta_elements(), elements);
   return delta;
 }
 
 StatusOr<Checkpoint> ApplyDeltaCheckpoint(const Checkpoint& base, const DeltaCheckpoint& delta) {
-  if (base.owner_rank != delta.owner_rank) {
-    return InvalidArgumentError("delta applied to a different owner's base");
-  }
-  if (base.iteration != delta.base_iteration) {
-    return FailedPreconditionError(
-        "delta base iteration " + std::to_string(delta.base_iteration) +
-        " does not match checkpoint iteration " + std::to_string(base.iteration));
-  }
-  if (base.payload.size() != delta.payload_elements) {
-    return InvalidArgumentError("delta payload geometry does not match the base");
-  }
-  if (base.payload_crc != delta.base_crc) {
-    return DataLossError("delta base CRC mismatch: base state is not the one the delta sealed");
-  }
-
-  std::vector<float> state(base.payload.begin(), base.payload.end());
-  for (const DeltaChunk& chunk : delta.chunks) {
-    const size_t begin = chunk.chunk_index * delta.chunk_elements;
-    if (begin + chunk.data.size() > state.size()) {
-      return DataLossError("delta chunk overflows the shard");
-    }
-    // Per-chunk CRC gate: a bit-flipped slice must fail here, before any
-    // byte lands in the materialized state.
-    if (Crc32(chunk.data.data(), chunk.data.size_bytes()) != chunk.crc) {
-      return DataLossError("delta chunk " + std::to_string(chunk.chunk_index) +
-                           " failed its CRC check");
-    }
-    std::copy(chunk.data.begin(), chunk.data.end(), state.begin() + begin);
-  }
-
-  Checkpoint result;
-  result.owner_rank = delta.owner_rank;
-  result.iteration = delta.iteration;
-  result.logical_bytes = delta.logical_bytes;
-  result.payload = std::move(state);
-  result.StampPayloadCrc();
-  // End-to-end gate: the materialized state must match the digest recorded
-  // when the delta was built.
-  if (result.payload_crc != delta.state_crc) {
-    return DataLossError("materialized delta state failed its full-state CRC check");
-  }
-  return result;
+  ReplayState state = ReplayState::Of(base);
+  GEMINI_RETURN_IF_ERROR(SpliceDelta(state, delta));
+  return std::move(state).Seal(delta.logical_bytes);
 }
 
 void RedoLog::Reset(Checkpoint base) {
@@ -190,11 +236,14 @@ StatusOr<Checkpoint> RedoLog::Materialize() const {
   if (!base_.valid()) {
     return NotFoundError("redo log has no sealed base");
   }
-  Checkpoint state = base_;
-  for (const DeltaCheckpoint& delta : deltas_) {
-    GEMINI_ASSIGN_OR_RETURN(state, ApplyDeltaCheckpoint(state, delta));
+  if (deltas_.empty()) {
+    return base_;
   }
-  return state;
+  ReplayState state = ReplayState::Of(base_);
+  for (const DeltaCheckpoint& delta : deltas_) {
+    GEMINI_RETURN_IF_ERROR(SpliceDelta(state, delta));
+  }
+  return std::move(state).Seal(deltas_.back().logical_bytes);
 }
 
 Status RedoLog::Compact() {
@@ -222,8 +271,9 @@ Status RedoLog::CorruptDelta(size_t chain_index, size_t bit_index) {
   for (DeltaChunk& chunk : delta.chunks) {
     const size_t chunk_bits = chunk.data.size_bytes() * 8;
     if (bit < chunk_bits) {
-      // Copy-on-write: the slice shares its buffer with the builder's
-      // snapshot (and possibly sibling replicas); detach before flipping.
+      // Copy-on-write: the slice shares the delta's packed buffer with every
+      // other copy of this delta (sibling replicas, the persistent tier);
+      // detach before flipping.
       auto* bytes = reinterpret_cast<uint8_t*>(chunk.data.MutableData());
       bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
       return Status::Ok();

@@ -2,7 +2,11 @@
 //
 // A DeltaCheckpoint encodes the difference between two full checkpoints of
 // the same shard as a list of (chunk index, PayloadRef slice) pairs, one per
-// changed fixed-size chunk. Chunks are selected by content, not just by the
+// changed fixed-size chunk. The delta owns its bytes: the builder packs the
+// changed chunks into one buffer of exactly delta_elements() floats and the
+// slices view that buffer, so a delta in a redo-log chain keeps alive only
+// the floats it ships, never the full capture it was cut from. Chunks are
+// selected by content, not just by the
 // trainer's dirty bits: each candidate chunk's CRC32 fingerprint (and, on a
 // fingerprint match, its bytes) is compared against the base, so a dirty bit
 // that turned out to be a no-op write is deduplicated away. Every chunk
@@ -15,8 +19,8 @@
 // epoch order (each delta's base_iteration must equal the chain's current
 // head iteration — out-of-order or gapped appends are rejected, which is
 // what "epoch-sealed" buys: the chain is always a replayable prefix).
-// Materialize() replays the chain in epoch order, CRC-gating every link;
-// Compact() folds the chain into a new base once the configured chain
+// Materialize() copies the base once and splices every link into that one
+// buffer in epoch order, CRC-gating each link; Compact() folds the chain into a new base once the configured chain
 // length / bytes caps are exceeded, bounding recovery replay work.
 //
 // Sizing model: like Checkpoint, a delta carries both real floats (the
@@ -36,8 +40,9 @@
 namespace gemini {
 
 // One changed chunk: `data` views the new contents of chunk `chunk_index`
-// (elements [chunk_index*chunk_elements, ...+data.size())), `crc` is the
-// CRC32 of those bytes, recorded at build time.
+// (elements [chunk_index*chunk_elements, ...+data.size())) inside the
+// delta's packed buffer, `crc` is the CRC32 of those bytes, recorded at
+// build time.
 struct DeltaChunk {
   size_t chunk_index = 0;
   PayloadRef data;
@@ -129,9 +134,11 @@ class RedoLog {
   Bytes chain_bytes() const { return chain_bytes_; }
   bool NeedsCompaction() const;
 
-  // Replays base + deltas in epoch order, CRC-gating every link; the result
-  // is the full checkpoint at latest_iteration(). Fails on any corrupt or
-  // inconsistent link.
+  // Replays base + deltas in epoch order into one buffer (a single copy of
+  // the base), checking every link's base binding, each chunk's CRC before
+  // its splice and the full-state CRC after it; the result is the full
+  // checkpoint at latest_iteration(). Fails on any corrupt or inconsistent
+  // link.
   StatusOr<Checkpoint> Materialize() const;
 
   // Folds the chain into a new sealed base (Materialize + Reset). On
@@ -140,8 +147,8 @@ class RedoLog {
   Status Compact();
 
   // Fault injection: flips one payload bit inside the chain's
-  // `chain_index`-th delta (copy-on-write — other holders of the slices are
-  // unaffected). The stale chunk CRC then fails the apply gate.
+  // `chain_index`-th delta (copy-on-write — other holders of the delta's
+  // packed buffer are unaffected). The stale chunk CRC then fails the apply gate.
   Status CorruptDelta(size_t chain_index, size_t bit_index);
 
  private:

@@ -144,8 +144,7 @@ TimeNs PersistentStore::Save(Checkpoint checkpoint, int expected_world_size, Don
           }
         }
         ResetLogForFullSave(checkpoint);
-        shards_[iteration][checkpoint.owner_rank] = std::move(checkpoint);
-        expected_world_[iteration] = expected_world_size;
+        AddDurableShard(std::move(checkpoint), expected_world_size);
         done(Status::Ok());
       });
 }
@@ -196,15 +195,17 @@ TimeNs PersistentStore::SaveDelta(DeltaCheckpoint delta, int expected_world_size
             return;
           }
         }
-        shards_[iteration][owner] = std::move(materialized).value();
-        expected_world_[iteration] = expected_world_size;
         if (log.NeedsCompaction()) {
+          // Fold onto the shard just materialized instead of replaying the
+          // chain a second time.
           const Bytes folded = log.chain_bytes();
-          if (log.Compact().ok() && compaction_folds_counter_ != nullptr) {
+          log.Reset(*materialized);
+          if (compaction_folds_counter_ != nullptr) {
             compaction_folds_counter_->Increment();
             compaction_bytes_folded_counter_->Increment(folded);
           }
         }
+        AddDurableShard(std::move(materialized).value(), expected_world_size);
         done(Status::Ok());
       });
 }
@@ -214,12 +215,7 @@ TimeNs PersistentStore::Retrieve(int owner_rank, int64_t iteration,
   if (retrievals_counter_ != nullptr) {
     retrievals_counter_->Increment();
   }
-  return TryRetrieve(owner_rank, iteration, /*attempt=*/0, std::move(done));
-}
-
-TimeNs PersistentStore::TryRetrieve(int owner_rank, int64_t iteration, int attempt,
-                                    std::function<void(StatusOr<Checkpoint>)> done) {
-  const std::optional<Checkpoint> shard = Peek(owner_rank, iteration);
+  std::optional<Checkpoint> shard = Peek(owner_rank, iteration);
   if (!shard.has_value()) {
     // A missing shard is permanent — retrying cannot make it appear. The
     // lookup miss costs only the request latency.
@@ -230,13 +226,20 @@ TimeNs PersistentStore::TryRetrieve(int owner_rank, int64_t iteration, int attem
     });
     return end;
   }
+  return TryRetrieve(std::move(*shard), /*attempt=*/0, std::move(done));
+}
+
+TimeNs PersistentStore::TryRetrieve(Checkpoint shard, int attempt,
+                                    std::function<void(StatusOr<Checkpoint>)> done) {
+  const Bytes bytes = shard.logical_bytes;
   return ScheduleTransfer(
-      shard->logical_bytes,
-      [this, shard = *shard, owner_rank, iteration, attempt, done = std::move(done)]() mutable {
+      bytes, [this, shard = std::move(shard), attempt, done = std::move(done)]() mutable {
+        const int owner_rank = shard.owner_rank;
+        const int64_t iteration = shard.iteration;
         // Mirrors the CPU-memory retry cascade: a failed or CRC-rejected
         // attempt backs off exponentially and re-reads, up to the attempt
         // cap; only then does the error surface to the caller.
-        auto retry = [this, owner_rank, iteration, attempt,
+        auto retry = [this, owner_rank, iteration, attempt, &shard,
                       &done](const Status& why) mutable {
           const RetryPolicy schedule = config_.retry_policy();
           if (schedule.Exhausted(attempt + 1)) {
@@ -250,8 +253,9 @@ TimeNs PersistentStore::TryRetrieve(int owner_rank, int64_t iteration, int attem
                                << owner_rank << " at iteration " << iteration << " failed ("
                                << why << "); retrying";
           sim_.ScheduleAfter(schedule.BackoffBefore(attempt + 1),
-                             [this, owner_rank, iteration, attempt, done = std::move(done)] {
-                               TryRetrieve(owner_rank, iteration, attempt + 1, std::move(done));
+                             [this, shard = std::move(shard), attempt,
+                              done = std::move(done)]() mutable {
+                               TryRetrieve(std::move(shard), attempt + 1, std::move(done));
                              });
         };
         if (fault_hook_) {
@@ -261,7 +265,7 @@ TimeNs PersistentStore::TryRetrieve(int owner_rank, int64_t iteration, int attem
             return;
           }
         }
-        StatusOr<Checkpoint> result = std::move(shard);
+        StatusOr<Checkpoint> result = shard;
         const std::string path = ShardPath(owner_rank, iteration);
         if (!path.empty()) {
           // Read back through the serialized form so the CRC guards the
@@ -361,8 +365,22 @@ void PersistentStore::SeedImmediate(Checkpoint checkpoint, int expected_world_si
     }
   }
   ResetLogForFullSave(checkpoint);
-  shards_[iteration][checkpoint.owner_rank] = std::move(checkpoint);
+  AddDurableShard(std::move(checkpoint), expected_world_size);
+}
+
+void PersistentStore::AddDurableShard(Checkpoint shard, int expected_world_size) {
+  const int64_t iteration = shard.iteration;
+  std::map<int, Checkpoint>& set = shards_[iteration];
+  set[shard.owner_rank] = std::move(shard);
   expected_world_[iteration] = expected_world_size;
+  if (static_cast<int>(set.size()) < expected_world_size) {
+    return;
+  }
+  // A set just completed: everything older than the latest complete
+  // iteration is unreachable from recovery.
+  const int64_t latest = LatestCompleteIteration();
+  shards_.erase(shards_.begin(), shards_.lower_bound(latest));
+  expected_world_.erase(expected_world_.begin(), expected_world_.lower_bound(latest));
 }
 
 std::optional<Checkpoint> PersistentStore::Peek(int owner_rank, int64_t iteration) const {

@@ -7,10 +7,15 @@
 // shard for that iteration has finished uploading — exactly why a failure
 // mid-upload falls back to the previous complete checkpoint (paper Fig. 1).
 //
+// Retention: recovery only ever reads LatestCompleteIteration(), so once a
+// newer set of shards completes, every older iteration is dropped from
+// memory. Newer, still-incomplete iterations stay until they complete or are
+// superseded in turn.
+//
 // With `config.disk_dir` set, every durable shard is additionally written to
 // disk in the serialized (CRC-protected) checkpoint format and read back —
 // with integrity verification — on retrieval, so the persistent tier
-// survives process restarts like the real thing.
+// survives process restarts like the real thing. Files are never pruned.
 #ifndef SRC_STORAGE_PERSISTENT_STORE_H_
 #define SRC_STORAGE_PERSISTENT_STORE_H_
 
@@ -109,7 +114,9 @@ class PersistentStore {
   // completion time. Transient transfer failures (fault hook) and CRC
   // rejections are retried internally up to `retrieval_max_attempts` with
   // capped exponential backoff; `done` fires once, with the final outcome.
-  // Returns the completion time of the first attempt.
+  // The shard is pinned at the call, so a newer set completing mid-cascade
+  // cannot prune it from under a retry (disk mode re-reads its file on every
+  // attempt). Returns the completion time of the first attempt.
   TimeNs Retrieve(int owner_rank, int64_t iteration,
                   std::function<void(StatusOr<Checkpoint>)> done);
 
@@ -123,7 +130,7 @@ class PersistentStore {
   Status CorruptShard(int owner_rank, int64_t iteration, size_t bit_index);
 
   // Latest iteration for which all `world_size` shards are durable; -1 if
-  // none.
+  // none. Older iterations are no longer held in memory.
   int64_t LatestCompleteIteration() const;
 
   // Immediate (zero-time) lookup used by analysis code and tests.
@@ -147,10 +154,13 @@ class PersistentStore {
  private:
   // Shared-bandwidth FIFO: a transfer starts when the previous one finishes.
   TimeNs ScheduleTransfer(Bytes bytes, std::function<void()> at_completion);
-  // One attempt of the retrieval cascade (backoff comes from the shared
-  // RetryPolicy built off the config knobs).
-  TimeNs TryRetrieve(int owner_rank, int64_t iteration, int attempt,
+  // One attempt of the retrieval cascade over the shard pinned by Retrieve
+  // (backoff comes from the shared RetryPolicy built off the config knobs).
+  TimeNs TryRetrieve(Checkpoint shard, int attempt,
                      std::function<void(StatusOr<Checkpoint>)> done);
+  // Makes `shard` durable; once its iteration's set is complete, drops every
+  // older iteration from memory.
+  void AddDurableShard(Checkpoint shard, int expected_world_size);
 
   // Seals a new chain base for the checkpoint's owner (incremental mode).
   void ResetLogForFullSave(const Checkpoint& checkpoint);
@@ -179,6 +189,7 @@ class PersistentStore {
   TimeNs busy_until_ = 0;
   Bytes bytes_written_ = 0;
   // iteration -> owner -> shard; complete-set tracking by expected world.
+  // Holds the latest complete iteration and any newer incomplete ones.
   std::map<int64_t, std::map<int, Checkpoint>> shards_;
   std::map<int64_t, int> expected_world_;
 };

@@ -162,6 +162,32 @@ TEST(DeltaApplyTest, TailChunkShorterThanChunkElementsRoundTrips) {
   EXPECT_EQ(*applied, next);
 }
 
+TEST(DeltaTest, DeltaOwnsOnlyShippedBytes) {
+  const Checkpoint base = MakeCheckpoint(0, 3, 64);
+  const Checkpoint next = MutateChunks(base, 4, /*chunk_elements=*/8, {1, 5, 6});
+  const auto delta = BuildDeltaCheckpoint(base, next, 8);
+  ASSERT_TRUE(delta.ok()) << delta.status();
+  ASSERT_EQ(delta->chunks.size(), 3u);
+  EXPECT_EQ(delta->delta_elements(), 24u);
+  // The chunks view one packed buffer of exactly the shipped floats, never
+  // the capture they were cut from.
+  for (const DeltaChunk& chunk : delta->chunks) {
+    EXPECT_FALSE(chunk.data.SharesBufferWith(next.payload));
+    EXPECT_TRUE(chunk.data.SharesBufferWith(delta->chunks[0].data));
+    EXPECT_EQ(chunk.data.buffer_size(), delta->delta_elements());
+  }
+  // A bit flipped in a chained copy stays in that copy: the chain fails its
+  // CRC gate while the caller's delta still applies bit-exactly.
+  RedoLog log;
+  log.Reset(base);
+  ASSERT_TRUE(log.Append(*delta).ok());
+  ASSERT_TRUE(log.CorruptDelta(/*chain_index=*/0, /*bit_index=*/77).ok());
+  EXPECT_EQ(log.Materialize().status().code(), StatusCode::kDataLoss);
+  const auto applied = ApplyDeltaCheckpoint(base, *delta);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  EXPECT_EQ(*applied, next);
+}
+
 // ---- Redo log -------------------------------------------------------------
 
 TEST(RedoLogTest, AppendEnforcesEpochSealing) {

@@ -487,5 +487,84 @@ TEST_F(FiveNodeKvTest, SurvivesTwoNodeFailures) {
   EXPECT_EQ(kv_->Get("/k")->value, "v");
 }
 
+// Log compaction: the applied prefix folds into a snapshot, a reset member
+// catches up by InstallSnapshot, and the snapshot's term keeps it electable.
+class KvSnapshotTest : public KvStoreTest {
+ protected:
+  // Node indices equal ranks in the fixture.
+  KvNode& Node(int rank) { return kv_->node(rank); }
+};
+
+TEST_F(KvSnapshotTest, ResetNodeCatchesUpBySnapshotAndCanLead) {
+  AwaitLeader();
+  StatusOr<LeaseId> lease = UnavailableError("pending");
+  kv_->LeaseGrant(Seconds(3600), [&](StatusOr<LeaseId> granted) { lease = granted; });
+  Settle();
+  ASSERT_TRUE(lease.ok()) << lease.status();
+  // 10k proposals in rounds of 100, so no round outruns replication.
+  int committed = 0;
+  for (int round = 0; round < 100; ++round) {
+    for (int i = 0; i < 100; ++i) {
+      const int n = round * 100 + i;
+      kv_->Put("/key/" + std::to_string(n % 500), std::to_string(n),
+               n % 7 == 0 ? *lease : kNoLease, [&](Status status) { committed += status.ok(); });
+    }
+    Settle(Millis(20));
+  }
+  Settle();
+  ASSERT_EQ(committed, 10'000);
+  const int leader = *kv_->LeaderRank();
+  for (int rank = 0; rank < kv_->num_nodes(); ++rank) {
+    EXPECT_GE(Node(rank).log_length(), 10'000u);
+    EXPECT_GT(Node(rank).snapshot_index(), 0u) << "node " << rank << " never compacted";
+    EXPECT_LE(Node(rank).log_length() - Node(rank).snapshot_index(), KvNode::kSnapshotEvery);
+  }
+
+  // Wipe a follower. The leader no longer holds entry 1, so catch-up must
+  // come through its snapshot.
+  const int reset = (leader + 1) % kv_->num_nodes();
+  const int other = (leader + 2) % kv_->num_nodes();
+  Node(reset).ResetAndRestart();
+  EXPECT_EQ(Node(reset).log_length(), 0u);
+  Settle(Seconds(3));
+  EXPECT_EQ(Node(reset).log_length(), Node(leader).log_length());
+  EXPECT_EQ(Node(reset).last_applied(), Node(leader).last_applied());
+  const auto& expected = Node(leader).applied_state();
+  const auto& actual = Node(reset).applied_state();
+  ASSERT_EQ(actual.size(), expected.size());
+  for (const auto& [key, entry] : expected) {
+    const auto it = actual.find(key);
+    ASSERT_NE(it, actual.end()) << key;
+    EXPECT_EQ(it->second.value, entry.value) << key;
+    EXPECT_EQ(it->second.lease, entry.lease) << key;
+    EXPECT_EQ(it->second.mod_index, entry.mod_index) << key;
+  }
+
+  // Everything is applied, so the reset node's log is empty and only its
+  // snapshot term vouches for it. Kill the leader and the other follower
+  // long enough for the other follower's election timer to lapse, then
+  // revive it as a pure voter: it grants its vote only if the candidate's
+  // last term (the snapshot term) is as new as its own.
+  ASSERT_EQ(Node(reset).log_length(), Node(reset).snapshot_index());
+  alive_[static_cast<size_t>(leader)] = false;
+  alive_[static_cast<size_t>(other)] = false;
+  Settle(Seconds(2));
+  alive_[static_cast<size_t>(other)] = true;
+  Settle(Seconds(3));
+  ASSERT_EQ(kv_->LeaderRank(), std::optional<int>(reset));
+  EXPECT_EQ(kv_->Get("/key/499")->value, "9999");
+  // The installed lease table is live: revoking the lease drops exactly the
+  // keys attached to it (/key/6 was last written by leased put 9506).
+  ASSERT_EQ(kv_->Get("/key/6")->lease, *lease);
+  const std::map<std::string, KvEntry> before = kv_->List("/key/");
+  Status revoked = InternalError("pending");
+  kv_->LeaseRevoke(*lease, [&](Status status) { revoked = status; });
+  Settle();
+  ASSERT_TRUE(revoked.ok()) << revoked;
+  for (const auto& [key, entry] : before) {
+    EXPECT_EQ(kv_->Get(key).ok(), entry.lease != *lease) << key;
+  }
+}
+
 }  // namespace
 }  // namespace gemini

@@ -411,6 +411,25 @@ TEST_F(PersistentStoreTest, LatestCompletePrefersNewest) {
   EXPECT_EQ(store_->LatestCompleteIteration(), 10);
 }
 
+TEST_F(PersistentStoreTest, KeepsOnlyLatestCompleteIteration) {
+  for (int rank = 0; rank < 2; ++rank) {
+    store_->SeedImmediate(MakeCheckpoint(rank, 5, 1000), 2);
+  }
+  // An incomplete newer set must not evict the latest complete one.
+  store_->SeedImmediate(MakeCheckpoint(0, 10, 1000), 2);
+  EXPECT_EQ(store_->LatestCompleteIteration(), 5);
+  EXPECT_TRUE(store_->Peek(0, 5).has_value());
+  EXPECT_TRUE(store_->Peek(1, 5).has_value());
+  EXPECT_TRUE(store_->Peek(0, 10).has_value());
+  // Completing iteration 10 supersedes 5, which recovery can no longer read.
+  store_->SeedImmediate(MakeCheckpoint(1, 10, 1000), 2);
+  EXPECT_EQ(store_->LatestCompleteIteration(), 10);
+  EXPECT_FALSE(store_->Peek(0, 5).has_value());
+  EXPECT_FALSE(store_->Peek(1, 5).has_value());
+  ASSERT_TRUE(store_->Peek(1, 10).has_value());
+  EXPECT_EQ(*store_->Peek(1, 10), MakeCheckpoint(1, 10, 1000));
+}
+
 TEST_F(PersistentStoreTest, RetrieveReturnsStoredShard) {
   const Checkpoint original = MakeCheckpoint(1, 7, 1'000'000'000);
   store_->SeedImmediate(original, 2);
@@ -585,6 +604,32 @@ TEST_F(PersistentRetryTest, CorruptShardFailsCrcAcrossAllAttempts) {
   EXPECT_EQ(metrics_.counter_value("persistent_store.crc_failures"), 4);
   EXPECT_EQ(metrics_.counter_value("persistent_store.retries"), 3);
   EXPECT_EQ(metrics_.counter_value("persistent_store.corruptions"), 1);
+}
+
+TEST_F(PersistentRetryTest, SupersededIterationStillServesPinnedShard) {
+  const Checkpoint original = MakeCheckpoint(0, 3, 1'000'000, 32);
+  store_->SeedImmediate(original, 1);
+  // Attempt 0 fails; before attempt 1 runs, a newer complete set lands and
+  // prunes iteration 3 from the store.
+  store_->set_fault_hook([this](int, int64_t, int attempt) {
+    if (attempt == 0) {
+      store_->SeedImmediate(MakeCheckpoint(0, 4, 1'000'000, 32), 1);
+      return UnavailableError("injected link flap");
+    }
+    return Status::Ok();
+  });
+  std::optional<Checkpoint> fetched;
+  store_->Retrieve(0, 3, [&](StatusOr<Checkpoint> result) {
+    ASSERT_TRUE(result.ok()) << result.status();
+    fetched = std::move(result).value();
+  });
+  sim_.Run();
+  EXPECT_FALSE(store_->Peek(0, 3).has_value()) << "iteration 3 should have been pruned";
+  ASSERT_TRUE(fetched.has_value());
+  EXPECT_EQ(fetched->iteration, 3);
+  EXPECT_EQ(*fetched, original);
+  EXPECT_EQ(fetched->payload_crc, original.payload_crc);
+  EXPECT_EQ(metrics_.counter_value("persistent_store.retries"), 1);
 }
 
 TEST_F(PersistentRetryTest, MissingShardIsPermanentAndNeverRetried) {
