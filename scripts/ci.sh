@@ -16,8 +16,9 @@
 # with the plain ones. The TSan pass builds into build-tsan/ with
 # -DGEMINI_SANITIZE=thread and runs the suites that exercise worker threads:
 # the simulator itself is single-threaded, but the ThreadPool, the parallel
-# CRC/serializer, the replicator's stream assembly and the pipelined
-# capture/verify path (pipeline_threads > 1) are not.
+# CRC/serializer, the replicator's stream assembly, the pipelined
+# capture/verify path (pipeline_threads > 1) and the disk-backed persistent
+# delta path (serialization on a 4-thread pool) are not.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -85,12 +86,13 @@ echo "==> sanitizer pass: ctest (remaining suites)"
 echo "==> TSan pass: configure + build (thread)"
 cmake -B build-tsan -S . -DGEMINI_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target common_test storage_test replicator_test \
-  gemini_system_test
+  gemini_system_test delta_test
 
 echo "==> TSan pass: threaded data path"
 ./build-tsan/tests/common_test --gtest_filter='ThreadPool*:Crc32*'
 ./build-tsan/tests/storage_test
 ./build-tsan/tests/replicator_test
+./build-tsan/tests/delta_test
 ./build-tsan/tests/gemini_system_test \
   --gtest_filter='*PipelineThreadsDoNotChangeSimulatedResults*'
 

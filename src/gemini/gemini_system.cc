@@ -167,7 +167,7 @@ Status GeminiSystem::Initialize() {
   for (int rank = 0; rank < config_.num_machines; ++rank) {
     Checkpoint seeded = trainer_->MakeCheckpoint(rank);
     if (config_.incremental.enabled) {
-      // The seed seals the persistent tier's first chain base; the first
+      // The seed seals the persistent tier's first delta head; the first
       // interval save can already ship a delta against iteration 0.
       persistent_bases_[static_cast<size_t>(rank)] = seeded;
     }
@@ -1291,6 +1291,7 @@ void GeminiSystem::MaybeStartReprotection() {
   replicator_config.auditor = &auditor_;
   replicator_config.pipeline_threads = config_.pipeline_threads;
   replicator_config.workers = datapath_pool_.get();
+  replicator_config.pool = &assembly_pool_;
   std::vector<CpuCheckpointStore*> stores;
   stores.reserve(cpu_stores_.size());
   for (const auto& store : cpu_stores_) {

@@ -458,6 +458,9 @@ class GeminiSystem : public PolicyHost {
   std::unique_ptr<PersistentStore> persistent_;
   // Checkpoint data-path worker pool (null when pipeline_threads <= 1).
   std::unique_ptr<ThreadPool> datapath_pool_;
+  // Re-protection's receive-side assembly buffers, recycled across passes
+  // and freed with the system.
+  PayloadPool assembly_pool_;
   std::vector<std::unique_ptr<CpuCheckpointStore>> cpu_stores_;
   std::unique_ptr<ShardedTrainer> trainer_;
   std::unique_ptr<CloudOperator> cloud_;

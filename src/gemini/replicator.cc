@@ -16,9 +16,9 @@ namespace {
 
 // Assembly buffers recycled across replication passes (double-buffer aware:
 // a buffer still pinned by a store's completed slot is never handed out).
-// The simulator is single-threaded, so one process-wide pool is safe; callers
-// that want isolation (tests asserting recycling) pass their own via
-// ReplicatorConfig::pool.
+// The fallback for callers that pass no ReplicatorConfig::pool. It lives for
+// the whole process and is not synchronized, so one thread at a time may use
+// it; GeminiSystem passes a pool it owns.
 PayloadPool& DefaultAssemblyPool() {
   static PayloadPool pool;
   return pool;

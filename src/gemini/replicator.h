@@ -44,7 +44,9 @@ struct ReplicatorConfig {
   // (the background traffic it attributes inflation to); may stay null.
   InterferenceAuditor* auditor = nullptr;
   // Pool the receive-side assembly buffers are leased from, so steady-state
-  // replication allocates nothing once warm. Null = a process-wide default.
+  // replication allocates nothing once warm. Null = a process-wide default
+  // whose buffers outlive the caller and which only one thread at a time
+  // may use.
   PayloadPool* pool = nullptr;
   // Host-side wall-clock parallelism for the commit path's integrity CRC
   // over each assembled replica (per-segment CRCs combined in rank order —

@@ -165,6 +165,9 @@ StatusOr<DeltaCheckpoint> BuildDeltaCheckpoint(const Checkpoint& base, const Che
 }
 
 StatusOr<Checkpoint> ApplyDeltaCheckpoint(const Checkpoint& base, const DeltaCheckpoint& delta) {
+  if (!delta.valid()) {
+    return InvalidArgumentError("delta is not well-formed");
+  }
   ReplayState state = ReplayState::Of(base);
   GEMINI_RETURN_IF_ERROR(SpliceDelta(state, delta));
   return std::move(state).Seal(delta.logical_bytes);
@@ -221,16 +224,7 @@ Status RedoLog::Append(DeltaCheckpoint delta) {
   return Status::Ok();
 }
 
-bool RedoLog::NeedsCompaction() const {
-  if (deltas_.empty()) {
-    return false;
-  }
-  if (config_.max_chain_length > 0 &&
-      deltas_.size() >= static_cast<size_t>(config_.max_chain_length)) {
-    return true;
-  }
-  return config_.max_chain_bytes > 0 && chain_bytes_ >= config_.max_chain_bytes;
-}
+bool RedoLog::NeedsCompaction() const { return config_.ChainFull(deltas_.size(), chain_bytes_); }
 
 StatusOr<Checkpoint> RedoLog::Materialize() const {
   if (!base_.valid()) {
@@ -272,8 +266,7 @@ Status RedoLog::CorruptDelta(size_t chain_index, size_t bit_index) {
     const size_t chunk_bits = chunk.data.size_bytes() * 8;
     if (bit < chunk_bits) {
       // Copy-on-write: the slice shares the delta's packed buffer with every
-      // other copy of this delta (sibling replicas, the persistent tier);
-      // detach before flipping.
+      // other copy of this delta (sibling replicas); detach before flipping.
       auto* bytes = reinterpret_cast<uint8_t*>(chunk.data.MutableData());
       bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
       return Status::Ok();

@@ -14,14 +14,16 @@
 // post-apply shard, so application is verifiable at both granularities —
 // recovery must never silently materialize a corrupted state.
 //
-// A RedoLog is the epoch-sealed append-only chain a checkpoint store keeps
-// per hosted owner: one sealed full base plus deltas in strictly increasing
-// epoch order (each delta's base_iteration must equal the chain's current
-// head iteration — out-of-order or gapped appends are rejected, which is
-// what "epoch-sealed" buys: the chain is always a replayable prefix).
-// Materialize() copies the base once and splices every link into that one
-// buffer in epoch order, CRC-gating each link; Compact() folds the chain into a new base once the configured chain
-// length / bytes caps are exceeded, bounding recovery replay work.
+// A RedoLog is the epoch-sealed append-only chain the CPU checkpoint store
+// keeps per hosted owner: one sealed full base plus deltas in strictly
+// increasing epoch order (each delta's base_iteration must equal the chain's
+// current head iteration — out-of-order or gapped appends are rejected,
+// which is what "epoch-sealed" buys: the chain is always a replayable
+// prefix). Materialize() copies the base once and splices every link into
+// that one buffer in epoch order, CRC-gating each link; Compact() folds the
+// chain into a new base once RedoLogConfig::ChainFull() holds, bounding
+// recovery replay work. The persistent tier keeps no chain: it applies each
+// delta to its head at arrival (ApplyDeltaCheckpoint).
 //
 // Sizing model: like Checkpoint, a delta carries both real floats (the
 // slices) and modeled bytes. `delta_bytes` prorates the full shard's
@@ -90,11 +92,12 @@ StatusOr<DeltaCheckpoint> BuildDeltaCheckpoint(const Checkpoint& base, const Che
                                                size_t chunk_elements,
                                                const std::vector<uint8_t>* dirty_hint = nullptr);
 
-// Applies `delta` on top of `base`, verifying (1) the base binding
-// (iteration + base payload CRC), (2) every chunk's CRC against its bytes,
-// and (3) the materialized full state against `state_crc`. Any mismatch is
-// a DataLossError — a corrupted link must fail loudly, never restore
-// silently.
+// Applies `delta` on top of `base`, verifying (1) the base binding: a
+// well-formed delta for the same owner and geometry (else InvalidArgument),
+// the base iteration (else FailedPrecondition) and the base payload CRC,
+// (2) every chunk's CRC against its bytes, and (3) the materialized full
+// state against `state_crc`. A CRC mismatch is a DataLossError — a corrupted
+// link must fail loudly, never restore silently.
 StatusOr<Checkpoint> ApplyDeltaCheckpoint(const Checkpoint& base, const DeltaCheckpoint& delta);
 
 // Compaction caps for a redo log chain. `max_chain_length` caps the number
@@ -105,6 +108,18 @@ StatusOr<Checkpoint> ApplyDeltaCheckpoint(const Checkpoint& base, const DeltaChe
 struct RedoLogConfig {
   int max_chain_length = 8;
   Bytes max_chain_bytes = 0;
+
+  // The fold rule every chain holder applies: true once `links` deltas
+  // summing `bytes` since the last base reach either cap.
+  bool ChainFull(size_t links, Bytes bytes) const {
+    if (links == 0) {
+      return false;
+    }
+    if (max_chain_length > 0 && links >= static_cast<size_t>(max_chain_length)) {
+      return true;
+    }
+    return max_chain_bytes > 0 && bytes >= max_chain_bytes;
+  }
 };
 
 class RedoLog {

@@ -44,25 +44,21 @@ void PersistentStore::ConfigureRedoLog(const RedoLogConfig& config) {
   log_config_ = config;
 }
 
-void PersistentStore::ResetLogForFullSave(const Checkpoint& checkpoint) {
+void PersistentStore::ResetHeadForFullSave(const Checkpoint& checkpoint) {
   if (!log_config_.has_value()) {
     return;
   }
-  auto [it, inserted] = delta_logs_.try_emplace(checkpoint.owner_rank, *log_config_);
-  it->second.Reset(checkpoint);
+  delta_heads_[checkpoint.owner_rank] = DeltaHead{checkpoint, 0, 0};
 }
 
 int64_t PersistentStore::DeltaBaseIteration(int owner_rank) const {
-  const auto it = delta_logs_.find(owner_rank);
-  if (it == delta_logs_.end() || !it->second.has_base()) {
-    return -1;
-  }
-  return it->second.latest_iteration();
+  const auto it = delta_heads_.find(owner_rank);
+  return it != delta_heads_.end() ? it->second.state.iteration : -1;
 }
 
 size_t PersistentStore::ChainLength(int owner_rank) const {
-  const auto it = delta_logs_.find(owner_rank);
-  return it != delta_logs_.end() ? it->second.chain_length() : 0;
+  const auto it = delta_heads_.find(owner_rank);
+  return it != delta_heads_.end() ? it->second.links : 0;
 }
 
 std::string PersistentStore::ShardPath(int owner_rank, int64_t iteration) const {
@@ -143,7 +139,7 @@ TimeNs PersistentStore::Save(Checkpoint checkpoint, int expected_world_size, Don
             return;
           }
         }
-        ResetLogForFullSave(checkpoint);
+        ResetHeadForFullSave(checkpoint);
         AddDurableShard(std::move(checkpoint), expected_world_size);
         done(Status::Ok());
       });
@@ -163,49 +159,42 @@ TimeNs PersistentStore::SaveDelta(DeltaCheckpoint delta, int expected_world_size
           bytes_written_counter_->Increment(delta.delta_bytes);
           delta_bytes_saved_counter_->Increment(delta.logical_bytes - delta.delta_bytes);
         }
-        const auto log_it = delta_logs_.find(delta.owner_rank);
-        if (log_it == delta_logs_.end() || !log_it->second.has_base()) {
+        const auto head_it = delta_heads_.find(delta.owner_rank);
+        if (head_it == delta_heads_.end()) {
           done(FailedPreconditionError("no sealed persistent base for rank " +
                                        std::to_string(delta.owner_rank)));
           return;
         }
-        RedoLog& log = log_it->second;
-        const int owner = delta.owner_rank;
-        const int64_t iteration = delta.iteration;
-        const Status appended = log.Append(std::move(delta));
-        if (!appended.ok()) {
-          done(appended);
+        DeltaHead& head = head_it->second;
+        // Verify and splice at arrival, as a real object store verifies a
+        // delta object's digest on PUT: the result is a full shard, so the
+        // retrieval surface never sees a delta and nothing keeps one.
+        StatusOr<Checkpoint> applied = ApplyDeltaCheckpoint(head.state, delta);
+        if (!applied.ok()) {
+          done(applied.status());
           return;
         }
-        // Materialize at arrival (CRC-gated, epoch order) so the retrieval
-        // surface keeps serving full shards; a real object store would
-        // verify the delta object's digest on PUT the same way. The chain
-        // still bounds what a restart must replay from disk.
-        StatusOr<Checkpoint> materialized = log.Materialize();
-        if (!materialized.ok()) {
-          done(materialized.status());
-          return;
-        }
-        const std::string path = ShardPath(owner, iteration);
+        const std::string path = ShardPath(delta.owner_rank, delta.iteration);
         if (!path.empty()) {
           const Status written =
-              WriteShardFile(path, *materialized, SerializeOptions{workers_, &blob_pool_});
+              WriteShardFile(path, *applied, SerializeOptions{workers_, &blob_pool_});
           if (!written.ok()) {
             done(written);
             return;
           }
         }
-        if (log.NeedsCompaction()) {
-          // Fold onto the shard just materialized instead of replaying the
-          // chain a second time.
-          const Bytes folded = log.chain_bytes();
-          log.Reset(*materialized);
+        head.state = *applied;
+        ++head.links;
+        head.bytes += delta.delta_bytes;
+        if (log_config_->ChainFull(head.links, head.bytes)) {
           if (compaction_folds_counter_ != nullptr) {
             compaction_folds_counter_->Increment();
-            compaction_bytes_folded_counter_->Increment(folded);
+            compaction_bytes_folded_counter_->Increment(head.bytes);
           }
+          head.links = 0;
+          head.bytes = 0;
         }
-        AddDurableShard(std::move(materialized).value(), expected_world_size);
+        AddDurableShard(std::move(applied).value(), expected_world_size);
         done(Status::Ok());
       });
 }
@@ -364,7 +353,7 @@ void PersistentStore::SeedImmediate(Checkpoint checkpoint, int expected_world_si
       GEMINI_LOG(kError) << "seeding persistent shard failed: " << written;
     }
   }
-  ResetLogForFullSave(checkpoint);
+  ResetHeadForFullSave(checkpoint);
   AddDurableShard(std::move(checkpoint), expected_world_size);
 }
 

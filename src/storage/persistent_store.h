@@ -10,7 +10,9 @@
 // Retention: recovery only ever reads LatestCompleteIteration(), so once a
 // newer set of shards completes, every older iteration is dropped from
 // memory. Newer, still-incomplete iterations stay until they complete or are
-// superseded in turn.
+// superseded in turn. In incremental mode each owner's delta head is its
+// latest durable shard (one shared buffer), never a chain of deltas: a
+// delta is verified and spliced onto the head at arrival, then dropped.
 //
 // With `config.disk_dir` set, every durable shard is additionally written to
 // disk in the serialized (CRC-protected) checkpoint format and read back —
@@ -87,23 +89,28 @@ class PersistentStore {
   // visible (durable) only at completion.
   TimeNs Save(Checkpoint checkpoint, int expected_world_size, DoneCallback done);
 
-  // Incremental mode: a full Save (or SeedImmediate) seals a per-owner redo
-  // log base; SaveDelta then uploads only the delta bytes through the same
-  // shared-bandwidth FIFO. At arrival the delta is appended to the owner's
-  // epoch-sealed chain, materialized (CRC-gated), and the materialized shard
-  // becomes durable — so the retrieval surface (Retrieve / Peek /
-  // LatestCompleteIteration) is unchanged and the chain is invisible to
-  // readers. Chains fold into a new base at the configured caps.
+  // Incremental mode: a full Save (or SeedImmediate) seals a per-owner delta
+  // head; SaveDelta then uploads only the delta bytes through the same
+  // shared-bandwidth FIFO. At arrival the delta is applied to the head
+  // (ApplyDeltaCheckpoint: owner, geometry, epoch, base CRC, per-chunk CRC,
+  // full-state CRC) and the result becomes both the new head and the
+  // durable shard, so the retrieval surface (Retrieve / Peek /
+  // LatestCompleteIteration) only ever sees full shards. No delta is kept
+  // once applied. `config`'s caps still set the fold cadence: the link and
+  // byte counts since the last full save reset once ChainFull() holds,
+  // counted in "compaction.folds" / "compaction.bytes_folded".
   void ConfigureRedoLog(const RedoLogConfig& config);
 
-  // Uploads one rank's delta on top of the owner's chain head. Deltas must
-  // be scheduled in epoch order on top of the previously scheduled state
-  // (the FIFO preserves arrival order); a seal violation surfaces through
-  // `done`.
+  // Uploads one rank's delta on top of the owner's head. Deltas must be
+  // scheduled in epoch order on top of the previously scheduled state (the
+  // FIFO preserves arrival order). A rejected delta — seal violation or CRC
+  // failure — surfaces through `done` and leaves the head and
+  // durable_epoch() untouched.
   TimeNs SaveDelta(DeltaCheckpoint delta, int expected_world_size, DoneCallback done);
 
-  // Chain head iteration a new delta must base on (-1 when no sealed base).
+  // Head iteration a new delta must base on (-1 when no sealed head).
   int64_t DeltaBaseIteration(int owner_rank) const;
+  // Deltas applied since the owner's last full save or fold.
   size_t ChainLength(int owner_rank) const;
 
   // Durable-epoch watermark: the newest iteration restorable from this tier
@@ -162,15 +169,22 @@ class PersistentStore {
   // older iteration from memory.
   void AddDurableShard(Checkpoint shard, int expected_world_size);
 
-  // Seals a new chain base for the checkpoint's owner (incremental mode).
-  void ResetLogForFullSave(const Checkpoint& checkpoint);
+  // Seals `checkpoint` as its owner's delta head (incremental mode).
+  void ResetHeadForFullSave(const Checkpoint& checkpoint);
 
   Simulator& sim_;
   PersistentStoreConfig config_;
   MetricsRegistry* metrics_ = nullptr;
   std::optional<RedoLogConfig> log_config_;
-  // Per-owner epoch-sealed delta chains (incremental mode).
-  std::map<int, RedoLog> delta_logs_;
+  // Per-owner delta head (incremental mode): the last durable state, which
+  // the next delta must seal onto, plus the links and delta bytes applied
+  // since the last full save or fold (the fold cadence).
+  struct DeltaHead {
+    Checkpoint state;
+    size_t links = 0;
+    Bytes bytes = 0;
+  };
+  std::map<int, DeltaHead> delta_heads_;
   // Hot-path metric handles (resolved once in set_metrics).
   Counter* saves_counter_ = nullptr;
   Counter* bytes_written_counter_ = nullptr;

@@ -8,10 +8,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common/crc32.h"
+#include "src/common/thread_pool.h"
 #include "src/gemini/gemini_system.h"
 #include "src/obs/metrics.h"
 #include "src/storage/cpu_store.h"
@@ -382,6 +386,113 @@ TEST_F(PersistentDeltaTest, FullSaveResealsTheChainBase) {
   EXPECT_EQ(store_.DeltaBaseIteration(0), 2);
   EXPECT_EQ(store_.ChainLength(0), 0u) << "a full save subsumes the chain";
   EXPECT_EQ(store_.durable_epoch(), 2);
+}
+
+TEST_F(PersistentDeltaTest, RetainsOnlyTheVerifiedHead) {
+  store_.ConfigureRedoLog(RedoLogConfig{});  // cap 8: three deltas stay below it
+  Checkpoint state = MakeCheckpoint(0, 0, 64);
+  store_.SeedImmediate(state, 1);
+  std::vector<PayloadRef> shipped;
+  for (int64_t iteration = 1; iteration <= 3; ++iteration) {
+    const Checkpoint next = MutateChunks(state, iteration, 8, {static_cast<size_t>(iteration)});
+    DeltaCheckpoint delta = *BuildDeltaCheckpoint(state, next, 8);
+    ASSERT_EQ(delta.chunks.size(), 1u);
+    shipped.push_back(delta.chunks[0].data);
+    store_.SaveDelta(std::move(delta), 1,
+                     [](Status status) { EXPECT_TRUE(status.ok()) << status; });
+    state = next;
+  }
+  sim_.Run();
+  for (const PayloadRef& packed : shipped) {
+    EXPECT_EQ(packed.use_count(), 1) << "an applied delta must not stay in host memory";
+  }
+  const auto head = store_.Peek(0, 3);
+  ASSERT_TRUE(head.has_value());
+  EXPECT_EQ(*head, state);
+  EXPECT_EQ(store_.ChainLength(0), 3u);
+  EXPECT_EQ(store_.DeltaBaseIteration(0), 3);
+
+  // A chunk tampered after the build fails its CRC gate, and nothing moves.
+  const Checkpoint c4 = MutateChunks(state, 4, 8, {5});
+  DeltaCheckpoint tampered = *BuildDeltaCheckpoint(state, c4, 8);
+  tampered.chunks[0].data.MutableData()[0] += 1.0f;
+  Status rejected = Status::Ok();
+  store_.SaveDelta(std::move(tampered), 1, [&](Status status) { rejected = status; });
+  sim_.Run();
+  EXPECT_EQ(rejected.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(store_.durable_epoch(), 3);
+  EXPECT_EQ(store_.DeltaBaseIteration(0), 3);
+  EXPECT_EQ(store_.ChainLength(0), 3u);
+
+  // The next valid delta still seals onto the old head.
+  Status applied = InternalError("pending");
+  store_.SaveDelta(*BuildDeltaCheckpoint(state, c4, 8), 1,
+                   [&](Status status) { applied = status; });
+  sim_.Run();
+  ASSERT_TRUE(applied.ok()) << applied;
+  EXPECT_EQ(store_.durable_epoch(), 4);
+  const auto advanced = store_.Peek(0, 4);
+  ASSERT_TRUE(advanced.has_value());
+  EXPECT_EQ(*advanced, c4);
+  EXPECT_EQ(store_.ChainLength(0), 4u);
+}
+
+// Disk mode writes each applied head as a full serialized shard. 32 MiB is
+// the smallest payload the serializer fans out across a 4-thread pool, so
+// the write runs on the pool's workers.
+TEST(DiskBackedPersistentDeltaTest, SaveDeltaWritesTheHeadAndRetrieveRereadsIt) {
+  const std::string dir = ::testing::TempDir() + "/gemini_delta_disk";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  Simulator sim;
+  PersistentStoreConfig config;
+  config.disk_dir = dir;
+  PersistentStore store(sim, config);
+  ThreadPool workers(4);
+  store.set_workers(&workers);
+  store.ConfigureRedoLog(RedoLogConfig{});
+
+  constexpr size_t kElements = (size_t{32} << 20) / sizeof(float);
+  constexpr size_t kChunk = size_t{1} << 16;
+  const Checkpoint c0 = MakeCheckpoint(0, 0, kElements);
+  const Checkpoint c1 = MutateChunks(c0, 1, kChunk, {3, 70});
+  store.SeedImmediate(c0, 1);
+  Status saved = InternalError("pending");
+  store.SaveDelta(*BuildDeltaCheckpoint(c0, c1, kChunk), 1,
+                  [&](Status status) { saved = status; });
+  sim.Run();
+  ASSERT_TRUE(saved.ok()) << saved;
+  EXPECT_EQ(store.durable_epoch(), 1);
+  const std::string path = store.ShardPath(0, 1);
+  ASSERT_TRUE(std::filesystem::exists(path)) << path;
+  EXPECT_GT(std::filesystem::file_size(path), c1.payload.size_bytes());
+
+  std::optional<Checkpoint> fetched;
+  store.Retrieve(0, 1, [&](StatusOr<Checkpoint> result) {
+    ASSERT_TRUE(result.ok()) << result.status();
+    fetched = std::move(result).value();
+  });
+  sim.Run();
+  ASSERT_TRUE(fetched.has_value());
+  EXPECT_EQ(*fetched, c1);
+
+  // Flip one payload byte in the file: every re-read fails its CRC.
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(file.is_open());
+    const std::streamoff offset = 1 << 20;
+    file.seekg(offset);
+    char byte = 0;
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x5A);
+    file.seekp(offset);
+    file.write(&byte, 1);
+  }
+  Status reread = Status::Ok();
+  store.Retrieve(0, 1, [&](StatusOr<Checkpoint> result) { reread = result.status(); });
+  sim.Run();
+  EXPECT_EQ(reread.code(), StatusCode::kDataLoss);
+  std::filesystem::remove_all(dir, ec);
 }
 
 // ---- Trainer dirty tracking -----------------------------------------------
