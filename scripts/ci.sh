@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verification plus Release and sanitizer passes.
 #
-#   scripts/ci.sh            # plain build + full ctest, committed-JSON and
-#                            # perfbench self-checks, then Release (-O2)
+#   scripts/ci.sh            # plain build + full ctest (perfbench
+#                            # self-tests included), committed-JSON check,
+#                            # then Release (-O2)
 #                            # build + ctest, then ASan+UBSan ctest, then
 #                            # TSan on the threaded data path
 #   scripts/ci.sh --fast     # plain build + full ctest only
@@ -18,7 +19,13 @@
 # the simulator itself is single-threaded, but the ThreadPool, the parallel
 # CRC/serializer, the replicator's stream assembly, the pipelined
 # capture/verify path (pipeline_threads > 1) and the disk-backed persistent
-# delta path (serialization on a 4-thread pool) are not.
+# delta path (serialization on a 4-thread pool) are not. The trainer's
+# copy-on-write reads a live buffer's use_count on the simulator thread while
+# those workers may hold captures of it, so training_test runs there too.
+#
+# The repo benchmark's self-tests (perfbench/run.py --selftest) are the ctest
+# entry perfbench_selftest (label perfbench), so the plain ctest pass runs
+# them.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -57,9 +64,6 @@ for name in fig07_iteration_time fig09_recovery_probability fig14_recovery_timel
   fi
 done
 
-echo "==> repo benchmark self-tests (perfbench)"
-python3 perfbench/run.py --selftest
-
 echo "==> release pass: configure + build (-DCMAKE_BUILD_TYPE=Release)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j
@@ -86,13 +90,14 @@ echo "==> sanitizer pass: ctest (remaining suites)"
 echo "==> TSan pass: configure + build (thread)"
 cmake -B build-tsan -S . -DGEMINI_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target common_test storage_test replicator_test \
-  gemini_system_test delta_test
+  gemini_system_test delta_test training_test
 
 echo "==> TSan pass: threaded data path"
 ./build-tsan/tests/common_test --gtest_filter='ThreadPool*:Crc32*'
 ./build-tsan/tests/storage_test
 ./build-tsan/tests/replicator_test
 ./build-tsan/tests/delta_test
+./build-tsan/tests/training_test
 ./build-tsan/tests/gemini_system_test \
   --gtest_filter='*PipelineThreadsDoNotChangeSimulatedResults*'
 

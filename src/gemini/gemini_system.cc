@@ -492,7 +492,8 @@ void GeminiSystem::OnCheckpointCommit(int64_t snapshot_iteration) {
       }
       CpuCheckpointStore& store = *cpu_stores_[static_cast<size_t>(holder)];
       if (delta.has_value() && store.ChainHeadIteration(owner) == delta->base_iteration) {
-        const Status status = store.WriteDelta(*delta);
+        // The snapshot rides along so a fold seals onto its buffer.
+        const Status status = store.WriteDelta(*delta, &snapshot);
         if (status.ok()) {
           continue;
         }
@@ -596,14 +597,19 @@ void GeminiSystem::MaybePersistentCheckpoint() {
     }
     if (delta.has_value()) {
       max_rank_bytes = std::max(max_rank_bytes, delta->delta_bytes);
-      persistent_->SaveDelta(std::move(*delta), config_.num_machines, [this, rank](Status status) {
-        if (!status.ok()) {
-          GEMINI_LOG(kWarning) << "persistent delta save for rank " << rank
-                               << " failed: " << status;
-          // Broken seal: force the next interval back to a full upload.
-          persistent_bases_[static_cast<size_t>(rank)] = std::nullopt;
-        }
-      });
+      // The capture rides along: the verified head adopts its buffer, which
+      // persistent_bases_ pins anyway as the next delta's base.
+      persistent_->SaveDelta(
+          std::move(*delta), config_.num_machines,
+          [this, rank](Status status) {
+            if (!status.ok()) {
+              GEMINI_LOG(kWarning) << "persistent delta save for rank " << rank
+                                   << " failed: " << status;
+              // Broken seal: force the next interval back to a full upload.
+              persistent_bases_[static_cast<size_t>(rank)] = std::nullopt;
+            }
+          },
+          full);
     } else {
       max_rank_bytes = std::max(max_rank_bytes, replica_bytes);
       persistent_->Save(full, config_.num_machines, [this, rank](Status status) {

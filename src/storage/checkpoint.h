@@ -111,12 +111,12 @@ class PayloadRef {
   size_t size_ = 0;
 };
 
-// Recycles payload buffers across checkpoint iterations so the steady-state
-// capture/assembly path is allocation-free once warm. Acquire() hands back a
-// previously released buffer only when no PayloadRef still references it —
-// "double-buffer aware": a buffer pinned by a store's completed slot (or any
-// staged snapshot) is skipped, so with double-buffered stores the pool
-// settles at ~2 buffers per producer and then cycles them.
+// Recycles payload buffers across checkpoint iterations so the replicator's
+// steady-state stream assembly is allocation-free once warm. Acquire() hands
+// back a previously released buffer only when no PayloadRef still references
+// it — "double-buffer aware": a buffer pinned by a store's completed slot is
+// skipped, so with double-buffered stores the pool settles at ~2 buffers per
+// producer and then cycles them.
 class PayloadPool {
  public:
   // A mutable buffer of exactly `count` elements (contents unspecified).

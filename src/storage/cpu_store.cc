@@ -138,7 +138,7 @@ Status CpuCheckpointStore::CommitWrite(Checkpoint checkpoint) {
   return Status::Ok();
 }
 
-Status CpuCheckpointStore::WriteDelta(DeltaCheckpoint delta) {
+Status CpuCheckpointStore::WriteDelta(DeltaCheckpoint delta, const Checkpoint* capture) {
   auto it = slots_.find(delta.owner_rank);
   if (it == slots_.end()) {
     return FailedPreconditionError("owner not hosted on this machine");
@@ -161,7 +161,7 @@ Status CpuCheckpointStore::WriteDelta(DeltaCheckpoint delta) {
   }
   if (slot.log->NeedsCompaction()) {
     const Bytes folded = slot.log->chain_bytes();
-    const Status compacted = slot.log->Compact();
+    const Status compacted = slot.log->Compact(capture);
     if (compacted.ok()) {
       // The folded base replaces the old completed checkpoint.
       slot.completed = slot.log->base();

@@ -68,8 +68,12 @@ class CpuCheckpointStore {
 
   // Appends one delta to the owner's chain. The delta must extend the chain
   // head exactly (epoch sealing); a stale or gapped delta is rejected and
-  // the caller should fall back to a full write.
-  Status WriteDelta(DeltaCheckpoint delta);
+  // the caller should fall back to a full write. `capture`, when given, is
+  // the full state the delta produces (the owner's commit snapshot): a fold
+  // that passes every materialization gate and equals it byte for byte
+  // seals the snapshot's buffer as the new base, so every holder of the
+  // owner shares one buffer instead of keeping its own folded copy.
+  Status WriteDelta(DeltaCheckpoint delta, const Checkpoint* capture = nullptr);
 
   // Chain head iteration a new delta must base on (-1 when no base); equals
   // LatestIteration in incremental mode but never materializes.

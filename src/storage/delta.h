@@ -22,8 +22,10 @@
 // prefix). Materialize() copies the base once and splices every link into
 // that one buffer in epoch order, CRC-gating each link; Compact() folds the
 // chain into a new base once RedoLogConfig::ChainFull() holds, bounding
-// recovery replay work. The persistent tier keeps no chain: it applies each
-// delta to its head at arrival (ApplyDeltaCheckpoint).
+// recovery replay work, and adopts the caller's capture of the folded state
+// when the two are byte-identical, so holders of one state share one buffer.
+// The persistent tier keeps no chain: it applies each delta to its head at
+// arrival (ApplyDeltaCheckpoint).
 //
 // Sizing model: like Checkpoint, a delta carries both real floats (the
 // slices) and modeled bytes. `delta_bytes` prorates the full shard's
@@ -100,6 +102,14 @@ StatusOr<DeltaCheckpoint> BuildDeltaCheckpoint(const Checkpoint& base, const Che
 // link must fail loudly, never restore silently.
 StatusOr<Checkpoint> ApplyDeltaCheckpoint(const Checkpoint& base, const DeltaCheckpoint& delta);
 
+// Points `verified` at `capture`'s payload buffer when both hold the same
+// non-empty state: owner, iteration, logical size, payload CRC and every
+// byte. A materialized state that equals a capture some other holder
+// already pins then costs no second buffer. `verified` must already have
+// passed its CRC gates; the byte compare is what makes adopting `capture`
+// safe, so a capture whose bytes differ is never adopted.
+void AdoptEqualPayload(Checkpoint& verified, const Checkpoint& capture);
+
 // Compaction caps for a redo log chain. `max_chain_length` caps the number
 // of deltas (must be >= 1 when incremental mode is on: a cap of 0 would let
 // recovery replay an unbounded chain — GeminiConfig::Validate rejects it).
@@ -158,8 +168,9 @@ class RedoLog {
 
   // Folds the chain into a new sealed base (Materialize + Reset). On
   // failure the chain is left untouched so the caller's read path can
-  // surface the corruption.
-  Status Compact();
+  // surface the corruption. When `capture` is given and the verified fold
+  // equals it (AdoptEqualPayload), the new base shares its buffer.
+  Status Compact(const Checkpoint* capture = nullptr);
 
   // Fault injection: flips one payload bit inside the chain's
   // `chain_index`-th delta (copy-on-write — other holders of the delta's

@@ -146,13 +146,13 @@ TimeNs PersistentStore::Save(Checkpoint checkpoint, int expected_world_size, Don
 }
 
 TimeNs PersistentStore::SaveDelta(DeltaCheckpoint delta, int expected_world_size,
-                                  DoneCallback done) {
+                                  DoneCallback done, Checkpoint capture) {
   assert(delta.valid());
   assert(expected_world_size > 0);
   const Bytes bytes = delta.delta_bytes;
   return ScheduleTransfer(
-      bytes, [this, delta = std::move(delta), expected_world_size,
-              done = std::move(done)]() mutable {
+      bytes, [this, delta = std::move(delta), expected_world_size, done = std::move(done),
+              capture = std::move(capture)]() mutable {
         bytes_written_ += delta.delta_bytes;
         if (delta_saves_counter_ != nullptr) {
           delta_saves_counter_->Increment();
@@ -174,6 +174,7 @@ TimeNs PersistentStore::SaveDelta(DeltaCheckpoint delta, int expected_world_size
           done(applied.status());
           return;
         }
+        AdoptEqualPayload(*applied, capture);
         const std::string path = ShardPath(delta.owner_rank, delta.iteration);
         if (!path.empty()) {
           const Status written =

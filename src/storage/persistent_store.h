@@ -12,7 +12,8 @@
 // memory. Newer, still-incomplete iterations stay until they complete or are
 // superseded in turn. In incremental mode each owner's delta head is its
 // latest durable shard (one shared buffer), never a chain of deltas: a
-// delta is verified and spliced onto the head at arrival, then dropped.
+// delta is verified and spliced onto the head at arrival, then dropped, and
+// the head adopts the caller's capture of the same state when one is given.
 //
 // With `config.disk_dir` set, every durable shard is additionally written to
 // disk in the serialized (CRC-protected) checkpoint format and read back —
@@ -105,8 +106,12 @@ class PersistentStore {
   // scheduled in epoch order on top of the previously scheduled state (the
   // FIFO preserves arrival order). A rejected delta — seal violation or CRC
   // failure — surfaces through `done` and leaves the head and
-  // durable_epoch() untouched.
-  TimeNs SaveDelta(DeltaCheckpoint delta, int expected_world_size, DoneCallback done);
+  // durable_epoch() untouched. `capture`, when valid, is the full state the
+  // delta produces (the caller's capture, which it keeps as its next delta
+  // base): once the applied state passes every gate and equals it byte for
+  // byte, the head and the durable shard share its buffer.
+  TimeNs SaveDelta(DeltaCheckpoint delta, int expected_world_size, DoneCallback done,
+                   Checkpoint capture = {});
 
   // Head iteration a new delta must base on (-1 when no sealed head).
   int64_t DeltaBaseIteration(int owner_rank) const;

@@ -47,11 +47,11 @@ ShardedTrainer::ShardedTrainer(const ModelConfig& model, int num_machines, int p
   assert(payload_elements >= 1);
   shards_.resize(static_cast<size_t>(num_machines));
   for (int rank = 0; rank < num_machines; ++rank) {
-    auto& shard = shards_[static_cast<size_t>(rank)];
-    shard.resize(static_cast<size_t>(payload_elements));
-    for (size_t i = 0; i < shard.size(); ++i) {
-      shard[i] = UpdateDelta(seed_, /*iteration=*/-1, rank, i);
+    auto shard = std::make_shared<std::vector<float>>(static_cast<size_t>(payload_elements));
+    for (size_t i = 0; i < shard->size(); ++i) {
+      (*shard)[i] = UpdateDelta(seed_, /*iteration=*/-1, rank, i);
     }
+    shards_[static_cast<size_t>(rank)] = std::move(shard);
   }
 }
 
@@ -84,7 +84,7 @@ size_t ShardedTrainer::dirty_chunk_count() const {
   if (dirty_chunk_elements_ == 0 || shards_.empty()) {
     return 0;
   }
-  const size_t elements = shards_.front().size();
+  const size_t elements = shards_.front()->size();
   return (elements + dirty_chunk_elements_ - 1) / dirty_chunk_elements_;
 }
 
@@ -113,18 +113,37 @@ void ShardedTrainer::MarkChunkDirty(int rank, size_t chunk) {
 
 void ShardedTrainer::UpdateShardsAtCurrentIteration() {
   for (int rank = 0; rank < num_machines_; ++rank) {
-    auto& shard = shards_[static_cast<size_t>(rank)];
+    std::shared_ptr<std::vector<float>>& live = shards_[static_cast<size_t>(rank)];
+    // A capture still holds the live buffer: its bytes stay frozen, and this
+    // update lands in a fresh buffer instead.
+    const bool captured = live.use_count() > 1;
+    const auto updated = [&](size_t i, float value) {
+      return value * 0.999f + UpdateDelta(seed_, iteration_, rank, i);
+    };
     if (sparse_fraction_ >= 1.0) {
       // Dense fast path: exactly the historical update loop, bit for bit.
-      for (size_t i = 0; i < shard.size(); ++i) {
-        shard[i] = shard[i] * 0.999f + UpdateDelta(seed_, iteration_, rank, i);
+      // Every element is rewritten, so a copy-on-write writes the update
+      // straight into the fresh buffer instead of copying the shard first.
+      // (Sizing the buffer zero-fills it, but that fill stays in cache and
+      // measured cheaper than reserve + push_back's per-element check.)
+      const float* in = live->data();
+      std::shared_ptr<std::vector<float>> target =
+          captured ? std::make_shared<std::vector<float>>(live->size()) : live;
+      float* out = target->data();
+      for (size_t i = 0; i < target->size(); ++i) {
+        out[i] = updated(i, in[i]);
       }
+      live = std::move(target);
       MarkAllDirty(rank);
       continue;
     }
     // Sparse mode: only touched chunks see the update (and its decay) this
     // iteration — the MoE-style workload where most expert shards are
-    // frozen per step.
+    // frozen per step. A captured shard is copied whole first.
+    if (captured) {
+      live = std::make_shared<std::vector<float>>(*live);
+    }
+    std::vector<float>& shard = *live;
     const size_t num_chunks =
         (shard.size() + sparse_chunk_elements_ - 1) / sparse_chunk_elements_;
     for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
@@ -134,7 +153,7 @@ void ShardedTrainer::UpdateShardsAtCurrentIteration() {
       const size_t begin = chunk * sparse_chunk_elements_;
       const size_t end = std::min(shard.size(), begin + sparse_chunk_elements_);
       for (size_t i = begin; i < end; ++i) {
-        shard[i] = shard[i] * 0.999f + UpdateDelta(seed_, iteration_, rank, i);
+        shard[i] = updated(i, shard[i]);
       }
       if (dirty_tracking_enabled()) {
         if (dirty_chunk_elements_ == sparse_chunk_elements_) {
@@ -161,7 +180,7 @@ void ShardedTrainer::Step() {
 }
 
 const std::vector<float>& ShardedTrainer::shard(int rank) const {
-  return shards_.at(static_cast<size_t>(rank));
+  return *shards_.at(static_cast<size_t>(rank));
 }
 
 Checkpoint ShardedTrainer::MakeCheckpoint(int rank) const {
@@ -169,14 +188,9 @@ Checkpoint ShardedTrainer::MakeCheckpoint(int rank) const {
   checkpoint.owner_rank = rank;
   checkpoint.iteration = iteration_;
   checkpoint.logical_bytes = checkpoint_bytes_per_machine();
-  // Snapshot semantics require one copy (the shard keeps mutating under
-  // Step()), but the buffer comes from the capture pool — recycled as soon as
-  // the stores' double buffers drop the previous block's snapshot — and is
-  // then shared untouched by every downstream holder.
-  const auto& shard = shards_.at(static_cast<size_t>(rank));
-  std::shared_ptr<std::vector<float>> buffer = capture_pool_.Acquire(shard.size());
-  std::copy(shard.begin(), shard.end(), buffer->begin());
-  checkpoint.payload = PayloadRef(std::shared_ptr<const std::vector<float>>(std::move(buffer)));
+  // The capture is the live buffer itself; the next update copies on write.
+  checkpoint.payload =
+      PayloadRef(std::shared_ptr<const std::vector<float>>(shards_.at(static_cast<size_t>(rank))));
   checkpoint.StampPayloadCrc();
   return checkpoint;
 }
@@ -185,11 +199,17 @@ Status ShardedTrainer::RestoreShard(const Checkpoint& checkpoint) {
   if (checkpoint.owner_rank < 0 || checkpoint.owner_rank >= num_machines_) {
     return InvalidArgumentError("checkpoint owner rank out of range");
   }
-  auto& shard = shards_[static_cast<size_t>(checkpoint.owner_rank)];
-  if (checkpoint.payload.size() != shard.size()) {
+  std::shared_ptr<std::vector<float>>& live = shards_[static_cast<size_t>(checkpoint.owner_rank)];
+  if (checkpoint.payload.size() != live->size()) {
     return InvalidArgumentError("checkpoint payload size mismatch");
   }
-  shard.assign(checkpoint.payload.begin(), checkpoint.payload.end());
+  if (live.use_count() > 1) {
+    // A capture still holds the live buffer: restore into a fresh one.
+    live = std::make_shared<std::vector<float>>(checkpoint.payload.begin(),
+                                                checkpoint.payload.end());
+  } else {
+    live->assign(checkpoint.payload.begin(), checkpoint.payload.end());
+  }
   // A restore can land arbitrarily far from any delta base; every chunk is
   // potentially changed until the next full snapshot seals a new base.
   MarkAllDirty(checkpoint.owner_rank);

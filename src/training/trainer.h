@@ -8,10 +8,17 @@
 //
 // Shards carry a small real float payload plus the model-config-derived
 // logical size used by every timing and memory-accounting path.
+//
+// Each rank's live shard is a shared buffer, and a capture is that buffer:
+// MakeCheckpoint hands out a handle to it and stamps its CRC, without a copy.
+// Step, ReplayTo and RestoreShard copy on write, and only while a capture
+// still holds the buffer, so a capture's bytes never change under its holders
+// and each distinct shard state sits in host memory once.
 #ifndef SRC_TRAINING_TRAINER_H_
 #define SRC_TRAINING_TRAINER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/common/status.h"
@@ -70,7 +77,8 @@ class ShardedTrainer {
 
   const std::vector<float>& shard(int rank) const;
 
-  // Snapshot of `rank`'s model states at the current iteration.
+  // Snapshot of `rank`'s model states at the current iteration: shares the
+  // live buffer (no copy) until the next update detaches the shard from it.
   Checkpoint MakeCheckpoint(int rank) const;
 
   // Restores one rank's shard; fails when the checkpoint belongs to a
@@ -113,10 +121,9 @@ class ShardedTrainer {
   Counter* steps_counter_ = nullptr;
   Counter* restores_counter_ = nullptr;
   Counter* rollback_iterations_counter_ = nullptr;
-  std::vector<std::vector<float>> shards_;
-  // Recycles capture buffers across MakeCheckpoint calls (mutable: capture is
-  // logically const — it does not advance training state).
-  mutable PayloadPool capture_pool_;
+  // Live shard per rank. A buffer with use_count() > 1 is held by a capture
+  // and is never written again; updates go to a fresh buffer instead.
+  std::vector<std::shared_ptr<std::vector<float>>> shards_;
 };
 
 }  // namespace gemini

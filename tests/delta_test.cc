@@ -1,7 +1,7 @@
 // Incremental checkpoint suite (ctest label "delta"): the delta format's
 // build/apply round-trips and CRC-keyed content dedupe, the epoch-sealed
 // redo log (sealing, compaction, corruption), the CPU and persistent
-// stores' chain paths, PayloadRef slice / Crc32Combine edge cases, config
+// stores' chain paths and their adoption of an equal capture's buffer, PayloadRef slice / Crc32Combine edge cases, config
 // validation of the incremental knobs, and the acceptance property:
 // delta-chain recovery is bit-exact against full-snapshot recovery.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -323,6 +324,81 @@ TEST_F(CpuStoreDeltaTest, CorruptChainLinkIsCaughtByMaterializationCrc) {
   EXPECT_GE(metrics_.counter_value("cpu_store.crc_failures"), 1);
 }
 
+// ---- CPU fold adoption ------------------------------------------------------
+
+// Two holders of owner 0 with a fold every second delta: c1 full, c2 and c3
+// as deltas, so the fold after c3 runs with c3 as the commit snapshot.
+class CpuFoldAdoptionTest : public ::testing::Test {
+ protected:
+  CpuFoldAdoptionTest() : cluster_(sim_, 2, P4d24xlarge(), FabricConfig{}) {
+    for (int holder = 0; holder < 2; ++holder) {
+      stores_.push_back(std::make_unique<CpuCheckpointStore>(cluster_.machine(holder)));
+      stores_.back()->set_metrics(&metrics_);
+      stores_.back()->ConfigureRedoLog(RedoLogConfig{/*max_chain_length=*/2, 0});
+      EXPECT_TRUE(stores_.back()->HostOwner(0, MiB(64)).ok());
+      EXPECT_TRUE(stores_.back()->WriteComplete(c1_).ok());
+      EXPECT_TRUE(stores_.back()->WriteDelta(*BuildDeltaCheckpoint(c1_, c2_, 8), &c2_).ok());
+    }
+  }
+
+  Simulator sim_;
+  Cluster cluster_;
+  MetricsRegistry metrics_;
+  std::vector<std::unique_ptr<CpuCheckpointStore>> stores_;
+  const Checkpoint c1_ = MakeCheckpoint(0, 1, 64);
+  const Checkpoint c2_ = MutateChunks(c1_, 2, 8, {2, 6});
+  const Checkpoint c3_ = MutateChunks(c2_, 3, 8, {1});
+};
+
+TEST_F(CpuFoldAdoptionTest, BothHoldersFoldOntoTheCommitSnapshot) {
+  for (const auto& store : stores_) {
+    ASSERT_TRUE(store->WriteDelta(*BuildDeltaCheckpoint(c2_, c3_, 8), &c3_).ok());
+  }
+  EXPECT_EQ(metrics_.counter_value("compaction.folds"), 2);
+  for (const auto& store : stores_) {
+    EXPECT_EQ(store->ChainLength(0), 0u);
+    const auto served = store->LatestVerified(0);
+    ASSERT_TRUE(served.has_value());
+    EXPECT_EQ(*served, c3_);
+    EXPECT_TRUE(served->payload.SharesBufferWith(c3_.payload))
+        << "a fold equal to the snapshot must not keep its own copy";
+  }
+}
+
+TEST_F(CpuFoldAdoptionTest, SnapshotWithDifferentBytesIsNotAdopted) {
+  // Same owner and iteration, one float off: once with a valid CRC for its
+  // own bytes, once still carrying the fold's CRC (only the byte compare
+  // tells that one apart).
+  Checkpoint restamped = c3_;
+  restamped.payload.MutableData()[5] += 1.0f;
+  restamped.StampPayloadCrc();
+  Checkpoint stale_crc = c3_;
+  stale_crc.payload.MutableData()[5] += 1.0f;
+  const Checkpoint* impostors[] = {&restamped, &stale_crc};
+  for (int holder = 0; holder < 2; ++holder) {
+    CpuCheckpointStore& store = *stores_[static_cast<size_t>(holder)];
+    const Checkpoint& impostor = *impostors[holder];
+    ASSERT_TRUE(store.WriteDelta(*BuildDeltaCheckpoint(c2_, c3_, 8), &impostor).ok());
+    const auto served = store.LatestVerified(0);
+    ASSERT_TRUE(served.has_value());
+    EXPECT_EQ(*served, c3_) << "the fold keeps its own verified state";
+    EXPECT_FALSE(served->payload.SharesBufferWith(impostor.payload)) << "holder " << holder;
+  }
+  EXPECT_EQ(metrics_.counter_value("compaction.folds"), 2);
+}
+
+TEST_F(CpuFoldAdoptionTest, CorruptLinkStillFailsTheFoldWithAValidSnapshot) {
+  ASSERT_TRUE(stores_[0]->CorruptChainDelta(0, /*chain_index=*/0, /*bit_index=*/3).ok());
+  // c3 is exactly the state the chain should fold to, and it is intact; the
+  // corrupt link must fail the fold anyway and leave the chain standing.
+  ASSERT_TRUE(stores_[0]->WriteDelta(*BuildDeltaCheckpoint(c2_, c3_, 8), &c3_).ok());
+  EXPECT_EQ(metrics_.counter_value("compaction.folds"), 0);
+  EXPECT_EQ(stores_[0]->ChainLength(0), 2u);
+  EXPECT_EQ(metrics_.counter_value("cpu_store.crc_failures"), 0);
+  EXPECT_FALSE(stores_[0]->LatestVerified(0).has_value());
+  EXPECT_EQ(metrics_.counter_value("cpu_store.crc_failures"), 1);
+}
+
 // ---- Persistent store chains ----------------------------------------------
 
 class PersistentDeltaTest : public ::testing::Test {
@@ -398,8 +474,9 @@ TEST_F(PersistentDeltaTest, RetainsOnlyTheVerifiedHead) {
     DeltaCheckpoint delta = *BuildDeltaCheckpoint(state, next, 8);
     ASSERT_EQ(delta.chunks.size(), 1u);
     shipped.push_back(delta.chunks[0].data);
-    store_.SaveDelta(std::move(delta), 1,
-                     [](Status status) { EXPECT_TRUE(status.ok()) << status; });
+    // The capture of the produced state rides along, as the caller's.
+    store_.SaveDelta(
+        std::move(delta), 1, [](Status status) { EXPECT_TRUE(status.ok()) << status; }, next);
     state = next;
   }
   sim_.Run();
@@ -409,31 +486,38 @@ TEST_F(PersistentDeltaTest, RetainsOnlyTheVerifiedHead) {
   const auto head = store_.Peek(0, 3);
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(*head, state);
+  EXPECT_TRUE(head->payload.SharesBufferWith(state.payload))
+      << "the verified head must adopt the capture it equals";
   EXPECT_EQ(store_.ChainLength(0), 3u);
   EXPECT_EQ(store_.DeltaBaseIteration(0), 3);
 
-  // A chunk tampered after the build fails its CRC gate, and nothing moves.
+  // A chunk tampered after the build fails its CRC gate, and nothing moves —
+  // a valid capture of the intended state does not get it adopted.
   const Checkpoint c4 = MutateChunks(state, 4, 8, {5});
   DeltaCheckpoint tampered = *BuildDeltaCheckpoint(state, c4, 8);
   tampered.chunks[0].data.MutableData()[0] += 1.0f;
   Status rejected = Status::Ok();
-  store_.SaveDelta(std::move(tampered), 1, [&](Status status) { rejected = status; });
+  store_.SaveDelta(
+      std::move(tampered), 1, [&](Status status) { rejected = status; }, c4);
   sim_.Run();
   EXPECT_EQ(rejected.code(), StatusCode::kDataLoss);
   EXPECT_EQ(store_.durable_epoch(), 3);
   EXPECT_EQ(store_.DeltaBaseIteration(0), 3);
   EXPECT_EQ(store_.ChainLength(0), 3u);
+  EXPECT_FALSE(store_.Peek(0, 4).has_value());
+  EXPECT_TRUE(store_.Peek(0, 3)->payload.SharesBufferWith(state.payload));
 
   // The next valid delta still seals onto the old head.
   Status applied = InternalError("pending");
-  store_.SaveDelta(*BuildDeltaCheckpoint(state, c4, 8), 1,
-                   [&](Status status) { applied = status; });
+  store_.SaveDelta(
+      *BuildDeltaCheckpoint(state, c4, 8), 1, [&](Status status) { applied = status; }, c4);
   sim_.Run();
   ASSERT_TRUE(applied.ok()) << applied;
   EXPECT_EQ(store_.durable_epoch(), 4);
   const auto advanced = store_.Peek(0, 4);
   ASSERT_TRUE(advanced.has_value());
   EXPECT_EQ(*advanced, c4);
+  EXPECT_TRUE(advanced->payload.SharesBufferWith(c4.payload));
   EXPECT_EQ(store_.ChainLength(0), 4u);
 }
 

@@ -1,6 +1,11 @@
 // Tests for model configurations (Table 2), the ZeRO-3 timeline generator,
-// the online profiler, and the sharded trainer's recovery-replay property.
+// the online profiler, and the sharded trainer's snapshot semantics and
+// recovery-replay property.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/training/model_config.h"
@@ -290,6 +295,73 @@ TEST(TrainerTest, CheckpointCarriesLogicalSize) {
   EXPECT_EQ(checkpoint.logical_bytes, Gpt2_100B().CheckpointBytesPerMachine(16));
   EXPECT_EQ(checkpoint.payload, trainer.shard(3));
 }
+
+// Snapshot semantics: a capture is the live buffer itself, and whatever the
+// trainer does next copies on write instead of touching the captured bytes.
+// Parameterized over the dense path and the sparse path (only touched chunks
+// change, so a missed copy-on-write would corrupt a capture partially).
+class TrainerSnapshotTest : public ::testing::TestWithParam<bool> {
+ protected:
+  ShardedTrainer MakeTrainer() const {
+    ShardedTrainer trainer(Gpt2_10B(), /*num_machines=*/2, /*payload_elements=*/64,
+                           /*seed=*/5);
+    if (GetParam()) {
+      trainer.SetSparseUpdates(0.25, /*chunk_elements=*/8);
+    }
+    trainer.Step();
+    return trainer;
+  }
+};
+
+TEST_P(TrainerSnapshotTest, CaptureSharesTheLiveBuffer) {
+  ShardedTrainer trainer = MakeTrainer();
+  const Checkpoint first = trainer.MakeCheckpoint(0);
+  const Checkpoint second = trainer.MakeCheckpoint(0);
+  EXPECT_TRUE(first.payload.SharesBufferWith(second.payload))
+      << "two captures at one iteration must share one buffer";
+  EXPECT_EQ(first.payload.data(), trainer.shard(0).data()) << "a capture must not copy";
+  EXPECT_TRUE(first.IntegrityOk());
+  EXPECT_FALSE(first.payload.SharesBufferWith(trainer.MakeCheckpoint(1).payload));
+}
+
+TEST_P(TrainerSnapshotTest, UpdatesAfterACaptureLeaveItBitIdentical) {
+  // Each trainer-side mutation that can follow a capture.
+  const std::vector<std::pair<const char*, std::function<Status(ShardedTrainer&)>>> mutations = {
+      {"Step", [](ShardedTrainer& t) {
+         t.Step();
+         return Status::Ok();
+       }},
+      {"ReplayTo", [](ShardedTrainer& t) { return t.ReplayTo(t.iteration() + 3); }},
+      {"RestoreShard", [](ShardedTrainer& t) {
+         ShardedTrainer other(Gpt2_10B(), 2, 64, /*seed=*/99);
+         return t.RestoreShard(other.MakeCheckpoint(0));
+       }},
+  };
+  for (const auto& [name, mutate] : mutations) {
+    ShardedTrainer trainer = MakeTrainer();
+    const Checkpoint capture = trainer.MakeCheckpoint(0);
+    const std::vector<float> frozen = capture.payload.ToVector();
+    ASSERT_TRUE(mutate(trainer).ok()) << name;
+    EXPECT_EQ(capture.payload, frozen) << name << " wrote into a captured buffer";
+    EXPECT_TRUE(capture.IntegrityOk()) << name;
+    EXPECT_NE(trainer.shard(0), frozen) << name << " did not change the live shard";
+    EXPECT_NE(trainer.shard(0).data(), capture.payload.data()) << name;
+  }
+}
+
+TEST_P(TrainerSnapshotTest, UncapturedShardUpdatesInPlace) {
+  ShardedTrainer trainer = MakeTrainer();
+  trainer.MakeCheckpoint(0);  // dropped at once: nothing holds the buffer
+  const float* live = trainer.shard(0).data();
+  trainer.Step();
+  ASSERT_TRUE(trainer.ReplayTo(trainer.iteration() + 2).ok());
+  EXPECT_EQ(trainer.shard(0).data(), live) << "copy-on-write without a capture to protect";
+}
+
+INSTANTIATE_TEST_SUITE_P(DenseAndSparse, TrainerSnapshotTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Sparse" : "Dense";
+                         });
 
 // The core recovery-correctness property: restore-at-k then replay-to-j is
 // bit-identical to an uninterrupted run. Parameterized over checkpoint and
