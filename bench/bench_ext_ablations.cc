@@ -14,8 +14,9 @@
 using namespace gemini;
 
 int main() {
-  bench::PrintHeader("Extension: design ablations — gamma and replica count m",
-                     "DESIGN.md ablation list (paper Sections 4, 5.3)");
+  bench::BenchReporter reporter("ext_ablations",
+                                "Extension: design ablations — gamma and replica count m",
+                                "DESIGN.md ablation list (paper Sections 4, 5.3)");
 
   // ---- gamma sweep --------------------------------------------------------
   std::cout << "(a) gamma sweep, GPT-2 40B on 16x p3dn (the tightest workload):\n";
@@ -37,10 +38,18 @@ int main() {
          TablePrinter::Fmt(decision.execution.overhead_fraction * 100.0) + " %",
          TablePrinter::Fmt(ToSeconds(decision.execution.checkpoint_done)),
          TablePrinter::Fmt(static_cast<int64_t>(decision.interval_iterations))});
+    const std::string key = "gamma_" + bench::BenchReporter::MetricKey(TablePrinter::Fmt(gamma, 1));
+    reporter.Metric(key + ".chunks",
+                    static_cast<int64_t>(decision.execution.partition.chunks.size()));
+    reporter.Metric(key + ".overhead_fraction", decision.execution.overhead_fraction);
+    reporter.Metric(key + ".checkpoint_done_seconds",
+                    ToSeconds(decision.execution.checkpoint_done));
+    reporter.Metric(key + ".interval_iterations",
+                    static_cast<int64_t>(decision.interval_iterations));
     // Whatever gamma, frequency adaptation must find a zero-overhead plan.
     gamma_ok &= decision.execution.overhead_fraction < 0.005;
   }
-  gamma_table.Print(std::cout);
+  reporter.Table(gamma_table);
   std::cout << "Smaller gamma budgets less of each span (more conservative against\n"
                "iteration-to-iteration variance); the frequency adapter absorbs the\n"
                "lost capacity by lowering the checkpoint frequency when needed.\n";
@@ -67,19 +76,24 @@ int main() {
                     TablePrinter::Fmt(static_cast<int64_t>(2 * m)),
                     TablePrinter::Fmt(static_cast<int64_t>(decision.interval_iterations)),
                     TablePrinter::Fmt(decision.execution.overhead_fraction * 100.0) + " %"});
+    const std::string key = "m_" + std::to_string(m);
+    reporter.Metric(key + ".p_recover_k2", p2);
+    reporter.Metric(key + ".p_recover_k3", p3);
+    reporter.Metric(key + ".interval_iterations",
+                    static_cast<int64_t>(decision.interval_iterations));
+    reporter.Metric(key + ".overhead_fraction", decision.execution.overhead_fraction);
     m_ok &= decision.execution.overhead_fraction < 0.005;
     m_ok &= p2 >= previous_p2;  // Probability is monotone in m.
     previous_p2 = p2;
   }
-  m_table.Print(std::cout);
+  reporter.Table(m_table);
   std::cout << "m = 2 is the paper's sweet spot: 93%+ double-failure coverage for one\n"
                "replica's worth of traffic; m >= 3 buys certainty against double\n"
                "failures at 2-3x the traffic and CPU memory.\n";
 
-  const bool pass = gamma_ok && m_ok;
-  std::cout << "\nShape check: " << (pass ? "PASS" : "FAIL")
-            << " — training overhead stays at zero across the whole design space\n"
-               "(the scheduler trades frequency, never iteration time), and recovery\n"
-               "probability grows monotonically with m.\n";
-  return pass ? 0 : 1;
+  reporter.ShapeCheck(gamma_ok && m_ok,
+                      "training overhead stays at zero across the whole design space\n"
+                      "(the scheduler trades frequency, never iteration time), and recovery\n"
+                      "probability grows monotonically with m.");
+  return reporter.Finish();
 }

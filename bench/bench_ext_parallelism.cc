@@ -15,8 +15,8 @@
 using namespace gemini;
 
 int main() {
-  bench::PrintHeader(
-      "Extension: checkpoint scheduling across parallelism strategies",
+  bench::BenchReporter reporter(
+      "ext_parallelism", "Extension: checkpoint scheduling across parallelism strategies",
       "paper Section 9 (future work): pipeline/data parallelism and Trainium");
 
   // GPT-2 20B fits a single machine's accelerators, so all three strategies
@@ -52,17 +52,25 @@ int main() {
                   TablePrinter::Fmt(ToSeconds(result.iteration_time)),
                   TablePrinter::Fmt(result.overhead_fraction * 100.0) + " %",
                   result.partition.fits_within_idle_time ? "yes" : "no"});
+    const std::string key = bench::BenchReporter::MetricKey(
+        std::string(ParallelismStrategyName(strategy)) + " " + instance.name);
+    reporter.Metric(key + ".baseline_iteration_seconds",
+                    ToSeconds(result.baseline_iteration_time));
+    reporter.Metric(key + ".idle_seconds", ToSeconds(timeline.TotalIdle()));
+    reporter.Metric(key + ".checkpoint_seconds",
+                    ToSeconds(result.partition.planned_transmission_time));
+    reporter.Metric(key + ".overhead_fraction", result.overhead_fraction);
     pass &= result.overhead_fraction < 0.01 && result.partition.fits_within_idle_time;
   }
-  table.Print(std::cout);
+  reporter.Table(table);
 
   std::cout << "\nTrainium caveat: trn1.32xlarge has a 1:1 CPU:accelerator memory ratio\n"
                "(512 GB each), so hosting 2x double-buffered replicas bounds the\n"
                "checkpointable model at ~21 GB/machine vs ~288 GB on p4d.24xlarge.\n";
 
-  std::cout << "\nShape check: " << (pass ? "PASS" : "FAIL")
-            << " — Algorithm 2 schedules the checkpoint into each strategy's idle\n"
-               "structure with zero iteration-time overhead, supporting the paper's\n"
-               "claim that the design generalizes beyond ZeRO-3.\n";
-  return pass ? 0 : 1;
+  reporter.ShapeCheck(pass,
+                      "Algorithm 2 schedules the checkpoint into each strategy's idle\n"
+                      "structure with zero iteration-time overhead, supporting the paper's\n"
+                      "claim that the design generalizes beyond ZeRO-3.");
+  return reporter.Finish();
 }

@@ -11,8 +11,8 @@
 using namespace gemini;
 
 int main() {
-  bench::PrintHeader(
-      "Extension: related-work comparison (GPT-2 100B, 16x p4d.24xlarge)",
+  bench::BenchReporter reporter(
+      "ext_related_work", "Extension: related-work comparison (GPT-2 100B, 16x p4d.24xlarge)",
       "paper Section 8 (related work), quantified on the Figure 10/12 workload");
 
   const TimelineParams timeline = bench::P4dTimeline(Gpt2_100B());
@@ -50,6 +50,10 @@ int main() {
                   FormatDuration(model.training_block_per_checkpoint),
                   FormatDuration(model.AverageWastedTime()),
                   TablePrinter::Fmt(ratio, 1) + "x", note});
+    const std::string key = bench::BenchReporter::MetricKey(model.name);
+    reporter.Metric(key + ".checkpoint_interval_seconds", ToSeconds(model.checkpoint_interval));
+    reporter.Metric(key + ".wasted_seconds", ToSeconds(model.AverageWastedTime()));
+    reporter.Metric(key + ".wasted_vs_gemini", ratio);
     if (model.name == "Check-N-Run") {
       // Lossy 4x compression narrows the gap the most — to ~4x — while
       // GEMINI stays lossless.
@@ -58,11 +62,11 @@ int main() {
       gemini_wins &= ratio > 10.0;
     }
   }
-  table.Print(std::cout);
+  reporter.Table(table);
 
-  std::cout << "\nShape check: " << (gemini_wins ? "PASS" : "FAIL")
-            << " — every remote-storage design still pays the store's bandwidth on\n"
-               "the recovery path: >10x GEMINI's wasted time for the lossless designs,\n"
-               "and even 4x lossy compression only narrows the gap to ~4x.\n";
-  return gemini_wins ? 0 : 1;
+  reporter.ShapeCheck(gemini_wins,
+                      "every remote-storage design still pays the store's bandwidth on\n"
+                      "the recovery path: >10x GEMINI's wasted time for the lossless designs,\n"
+                      "and even 4x lossy compression only narrows the gap to ~4x.");
+  return reporter.Finish();
 }

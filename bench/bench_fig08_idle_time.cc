@@ -9,7 +9,8 @@
 using namespace gemini;
 
 int main() {
-  bench::PrintHeader(
+  bench::BenchReporter reporter(
+      "fig08_idle_time",
       "Figure 8: network idle time vs GEMINI checkpoint time (16x p4d.24xlarge)",
       "paper Figure 8");
 
@@ -30,11 +31,15 @@ int main() {
     table.AddRow({model.name, TablePrinter::Fmt(idle), TablePrinter::Fmt(ckpt),
                   TablePrinter::Fmt(idle - ckpt),
                   result.partition.fits_within_idle_time ? "yes" : "no"});
+    const std::string key = bench::BenchReporter::MetricKey(model.name);
+    reporter.Metric(key + ".idle_seconds", idle);
+    reporter.Metric(key + ".checkpoint_seconds", ckpt);
+    reporter.Metric(key + ".idle_with_gemini_seconds", idle - ckpt);
     all_fit &= result.partition.fits_within_idle_time && ckpt < idle;
   }
-  table.Print(std::cout);
-  std::cout << "\nShape check: " << (all_fit ? "PASS" : "FAIL")
-            << " — checkpoint traffic fits inside the profiled idle spans with idle\n"
-               "time to spare (paper: ~12.5 s idle vs ~2.5 s checkpoint for GPT-2 100B).\n";
-  return all_fit ? 0 : 1;
+  reporter.Table(table);
+  reporter.ShapeCheck(all_fit,
+                      "checkpoint traffic fits inside the profiled idle spans with idle\n"
+                      "time to spare (paper: ~12.5 s idle vs ~2.5 s checkpoint for GPT-2 100B).");
+  return reporter.Finish();
 }

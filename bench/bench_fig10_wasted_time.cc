@@ -12,8 +12,9 @@
 using namespace gemini;
 
 int main() {
-  bench::PrintHeader("Figure 10: average wasted time vs replaced instances (GPT-2 100B)",
-                     "paper Figure 10");
+  bench::BenchReporter reporter("fig10_wasted_time",
+                                "Figure 10: average wasted time vs replaced instances (GPT-2 100B)",
+                                "paper Figure 10");
 
   const TimelineParams timeline = bench::P4dTimeline(Gpt2_100B());
   const ExecutionResult execution =
@@ -41,12 +42,18 @@ int main() {
                   TablePrinter::Fmt(ToSeconds(highfreq.AverageWastedTime()) / 60.0),
                   TablePrinter::Fmt(cpu_min), TablePrinter::Fmt(p_cpu, 3),
                   TablePrinter::Fmt(expected)});
+    const std::string key = "replaced_" + std::to_string(replaced);
+    reporter.Metric(key + ".strawman_minutes", ToSeconds(strawman.AverageWastedTime()) / 60.0);
+    reporter.Metric(key + ".highfreq_minutes", ToSeconds(highfreq.AverageWastedTime()) / 60.0);
+    reporter.Metric(key + ".gemini_from_cpu_minutes", cpu_min);
+    reporter.Metric(key + ".p_from_cpu", p_cpu);
+    reporter.Metric(key + ".gemini_expected_minutes", expected);
     if (replaced == 1) {
       speedup_at_one = static_cast<double>(highfreq.AverageWastedTime()) /
                        static_cast<double>(gemini.AverageWastedTime());
     }
   }
-  table.Print(std::cout);
+  reporter.Table(table);
 
   const SystemModel gemini0 = BuildGemini(workload, 0);
   const double ratio_to_iter = static_cast<double>(gemini0.AverageWastedTime()) /
@@ -56,9 +63,11 @@ int main() {
             << TablePrinter::Fmt(speedup_at_one, 1) << "x\n";
   std::cout << "GEMINI software-failure wasted time: " << TablePrinter::Fmt(ratio_to_iter, 2)
             << " iterations\n";
-  std::cout << "\nShape check: " << (pass ? "PASS" : "FAIL")
-            << " — 1.5 T_iter for software failures; >13x reduction vs HighFreq for\n"
-               "CPU-memory recovery; degradation to Strawman only when a whole group\n"
-               "fails (probability 6.7% for two replaced instances at N=16).\n";
-  return pass ? 0 : 1;
+  reporter.Metric("headline.reduction_vs_highfreq_at_1_replaced", speedup_at_one);
+  reporter.Metric("headline.software_failure_wasted_iterations", ratio_to_iter);
+  reporter.ShapeCheck(pass,
+                      "1.5 T_iter for software failures; >13x reduction vs HighFreq for\n"
+                      "CPU-memory recovery; degradation to Strawman only when a whole group\n"
+                      "fails (probability 6.7% for two replaced instances at N=16).");
+  return reporter.Finish();
 }

@@ -30,7 +30,8 @@ TimeNs GeminiCheckpointTime(Bytes per_machine, BytesPerSecond nic, int num_buffe
 }  // namespace
 
 int main() {
-  bench::PrintHeader(
+  bench::BenchReporter reporter(
+      "fig11_ckpt_time_reduction",
       "Figure 11: checkpoint time reduction over the baselines (GPT-2 100B)",
       "paper Figure 11");
 
@@ -49,12 +50,17 @@ int main() {
     const SystemModel baseline = BuildStrawman(workload);
     std::vector<std::string> row = {TablePrinter::Fmt(static_cast<int64_t>(machines)),
                                     TablePrinter::Fmt(ToSeconds(baseline.checkpoint_time))};
+    const std::string key = "machines_" + std::to_string(machines);
+    reporter.Metric(key + ".baseline_checkpoint_seconds", ToSeconds(baseline.checkpoint_time));
     for (const double gbps : {100.0, 200.0, 400.0}) {
       const TimeNs gemini = GeminiCheckpointTime(per_machine, GbpsToBytesPerSecond(gbps));
       const double reduction = static_cast<double>(baseline.checkpoint_time) /
                                static_cast<double>(gemini);
       row.push_back(TablePrinter::Fmt(ToSeconds(gemini)));
       row.push_back(TablePrinter::Fmt(reduction, 1) + "x");
+      const std::string rate = ".gemini_" + std::to_string(static_cast<int>(gbps)) + "gbps";
+      reporter.Metric(key + rate + "_checkpoint_seconds", ToSeconds(gemini));
+      reporter.Metric(key + rate + "_reduction", reduction);
       if (machines == 16 && gbps == 400.0) {
         reduction_16_400 = reduction;
       }
@@ -64,7 +70,7 @@ int main() {
     }
     table.AddRow(row);
   }
-  table.Print(std::cout);
+  reporter.Table(table);
 
   // The paper's 6.4 Tb/s remark: matching GEMINI at 16 instances would need
   // persistent storage with 16 x 400 Gb/s of aggregate bandwidth.
@@ -74,8 +80,8 @@ int main() {
 
   const bool pass = reduction_16_400 > 250.0 && reduction_16_100 > 55.0 &&
                     reduction_16_100 < 80.0;
-  std::cout << "\nShape check: " << (pass ? "PASS" : "FAIL")
-            << " — reduction grows with instances and bandwidth; ~65x at 100 Gb/s and\n"
-               ">250x at 400 Gb/s with 16 instances.\n";
-  return pass ? 0 : 1;
+  reporter.ShapeCheck(pass,
+                      "reduction grows with instances and bandwidth; ~65x at 100 Gb/s and\n"
+                      ">250x at 400 Gb/s with 16 instances.");
+  return reporter.Finish();
 }

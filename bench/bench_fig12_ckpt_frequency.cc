@@ -9,8 +9,9 @@
 using namespace gemini;
 
 int main() {
-  bench::PrintHeader("Figure 12: checkpoint frequency (GPT-2 100B, 16x p4d.24xlarge)",
-                     "paper Figure 12");
+  bench::BenchReporter reporter("fig12_ckpt_frequency",
+                                "Figure 12: checkpoint frequency (GPT-2 100B, 16x p4d.24xlarge)",
+                                "paper Figure 12");
 
   const TimelineParams timeline = bench::P4dTimeline(Gpt2_100B());
   const ExecutionResult execution =
@@ -32,8 +33,11 @@ int main() {
                                         model->checkpoints_per_hour(),
                                     1) +
                       "x"});
+    const std::string key = bench::BenchReporter::MetricKey(model->name);
+    reporter.Metric(key + ".checkpoint_interval_seconds", ToSeconds(model->checkpoint_interval));
+    reporter.Metric(key + ".checkpoints_per_hour", model->checkpoints_per_hour());
   }
-  table.Print(std::cout);
+  reporter.Table(table);
 
   std::cout << "\nGEMINI checkpoint transmission time: "
             << FormatDuration(execution.partition.planned_transmission_time)
@@ -48,8 +52,12 @@ int main() {
   // regardless.
   const bool pass = vs_highfreq >= 7.0 && vs_highfreq <= 11.0 && vs_strawman > 155.0 &&
                     ToSeconds(execution.partition.planned_transmission_time) < 3.0;
-  std::cout << "\nShape check: " << (pass ? "PASS" : "FAIL")
-            << " — every-iteration checkpointing: ~8x HighFreq's frequency and >170x\n"
-               "Strawman's, with the checkpoint itself taking under 3 seconds.\n";
-  return pass ? 0 : 1;
+  reporter.Metric("headline.frequency_vs_highfreq", vs_highfreq);
+  reporter.Metric("headline.frequency_vs_strawman", vs_strawman);
+  reporter.Metric("headline.transmission_seconds",
+                  ToSeconds(execution.partition.planned_transmission_time));
+  reporter.ShapeCheck(pass,
+                      "every-iteration checkpointing: ~8x HighFreq's frequency and >170x\n"
+                      "Strawman's, with the checkpoint itself taking under 3 seconds.");
+  return reporter.Finish();
 }

@@ -9,8 +9,9 @@
 using namespace gemini;
 
 int main() {
-  bench::PrintHeader("Figure 13: p3dn.24xlarge generalization (16 instances)",
-                     "paper Figure 13a/13b");
+  bench::BenchReporter reporter("fig13_p3dn",
+                                "Figure 13: p3dn.24xlarge generalization (16 instances)",
+                                "paper Figure 13a/13b");
 
   TablePrinter table({"Model", "Baseline iter (s)", "GEMINI iter (s)", "Overhead",
                       "Idle w/o ckpt (s)", "Ckpt time (s)", "Idle w/ GEMINI (s)"});
@@ -32,12 +33,19 @@ int main() {
                   TablePrinter::Fmt(result.overhead_fraction * 100.0) + " %",
                   TablePrinter::Fmt(idle), TablePrinter::Fmt(ckpt),
                   TablePrinter::Fmt(idle - ckpt)});
+    const std::string key = bench::BenchReporter::MetricKey(model.name);
+    reporter.Metric(key + ".baseline_iteration_seconds",
+                    ToSeconds(result.baseline_iteration_time));
+    reporter.Metric(key + ".gemini_iteration_seconds", ToSeconds(result.iteration_time));
+    reporter.Metric(key + ".overhead_fraction", result.overhead_fraction);
+    reporter.Metric(key + ".idle_seconds", idle);
+    reporter.Metric(key + ".checkpoint_seconds", ckpt);
     pass &= result.overhead_fraction < 0.01 && ckpt < idle;
   }
-  table.Print(std::cout);
-  std::cout << "\nShape check: " << (pass ? "PASS" : "FAIL")
-            << " — across 10B-40B models and three architectures on the slower\n"
-               "100 Gb/s network, idle time still covers the checkpoint traffic and\n"
-               "GEMINI leaves iteration time untouched.\n";
-  return pass ? 0 : 1;
+  reporter.Table(table);
+  reporter.ShapeCheck(pass,
+                      "across 10B-40B models and three architectures on the slower\n"
+                      "100 Gb/s network, idle time still covers the checkpoint traffic and\n"
+                      "GEMINI leaves iteration time untouched.");
+  return reporter.Finish();
 }

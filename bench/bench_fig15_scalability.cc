@@ -12,8 +12,9 @@
 using namespace gemini;
 
 int main() {
-  bench::PrintHeader("Figure 15: effective training time ratio (GPT-2 100B)",
-                     "paper Figure 15a/15b");
+  bench::BenchReporter reporter("fig15_scalability",
+                                "Figure 15: effective training time ratio (GPT-2 100B)",
+                                "paper Figure 15a/15b");
 
   const TimelineParams timeline = bench::P4dTimeline(Gpt2_100B());
   const ExecutionResult execution =
@@ -36,8 +37,12 @@ int main() {
                     TablePrinter::Fmt(gemini.EffectiveTrainingRatio(failures), 3),
                     TablePrinter::Fmt(highfreq.EffectiveTrainingRatio(failures), 3),
                     TablePrinter::Fmt(strawman.EffectiveTrainingRatio(failures), 3)});
+    const std::string key = "failures_per_day_" + std::to_string(static_cast<int>(failures));
+    reporter.Metric(key + ".gemini", gemini.EffectiveTrainingRatio(failures));
+    reporter.Metric(key + ".highfreq", highfreq.EffectiveTrainingRatio(failures));
+    reporter.Metric(key + ".strawman", strawman.EffectiveTrainingRatio(failures));
   }
-  by_rate.Print(std::cout);
+  reporter.Table(by_rate);
 
   std::cout << "\n(b) vs number of instances (1.5% of machines fail per day):\n";
   TablePrinter by_size({"Instances", "Failures/day", "GEMINI", "HighFreq", "Strawman"});
@@ -51,12 +56,16 @@ int main() {
     by_size.AddRow({TablePrinter::Fmt(static_cast<int64_t>(machines)),
                     TablePrinter::Fmt(failures, 1), TablePrinter::Fmt(g, 3),
                     TablePrinter::Fmt(h, 3), TablePrinter::Fmt(s, 3)});
+    const std::string key = "instances_" + std::to_string(machines);
+    reporter.Metric(key + ".gemini", g);
+    reporter.Metric(key + ".highfreq", h);
+    reporter.Metric(key + ".strawman", s);
     if (machines == 1000) {
       gemini_1000 = g;
       highfreq_1000 = h;
     }
   }
-  by_size.Print(std::cout);
+  reporter.Table(by_size);
 
   const double highfreq_tax = 1.0 - highfreq.EffectiveTrainingRatio(0.0);
   const bool pass = gemini.EffectiveTrainingRatio(8.0) > 0.92 &&
@@ -70,8 +79,11 @@ int main() {
             << "% (paper: ~91%), " << TablePrinter::Fmt((gemini_1000 / highfreq_1000 - 1.0) *
                                                          100.0, 0)
             << "% above HighFreq (paper: 54%)\n";
-  std::cout << "\nShape check: " << (pass ? "PASS" : "FAIL")
-            << " — GEMINI flat in failure rate; HighFreq pays the serialization tax\n"
-               "even with no failures; Strawman collapses at scale.\n";
-  return pass ? 0 : 1;
+  reporter.Metric("headline.highfreq_tax_at_zero_failures", highfreq_tax);
+  reporter.Metric("headline.gemini_at_1000_instances", gemini_1000);
+  reporter.Metric("headline.gemini_vs_highfreq_at_1000_instances", gemini_1000 / highfreq_1000);
+  reporter.ShapeCheck(pass,
+                      "GEMINI flat in failure rate; HighFreq pays the serialization tax\n"
+                      "even with no failures; Strawman collapses at scale.");
+  return reporter.Finish();
 }

@@ -10,8 +10,8 @@
 using namespace gemini;
 
 int main() {
-  bench::PrintHeader(
-      "Figure 16: interleaving schemes (GPT-2 40B, 16x p3dn.24xlarge)",
+  bench::BenchReporter reporter(
+      "fig16_interleaving", "Figure 16: interleaving schemes (GPT-2 40B, 16x p3dn.24xlarge)",
       "paper Figure 16 / Section 7.4");
 
   const TimelineParams timeline = bench::P3dnTimeline(Gpt2_40B());
@@ -39,6 +39,15 @@ int main() {
     }
     table.AddRow({std::string(InterleaveSchemeName(scheme)), iteration, overhead,
                   FormatBytes(result.required_buffer_per_gpu), note});
+    const std::string key =
+        bench::BenchReporter::MetricKey(std::string(InterleaveSchemeName(scheme)));
+    reporter.Metric(key + ".ok", static_cast<int64_t>(result.status.ok() ? 1 : 0));
+    reporter.Metric(key + ".buffer_per_gpu_bytes",
+                    static_cast<int64_t>(result.required_buffer_per_gpu));
+    if (result.status.ok()) {
+      reporter.Metric(key + ".iteration_seconds", ToSeconds(result.iteration_time));
+      reporter.Metric(key + ".overhead_fraction", result.overhead_fraction);
+    }
     switch (scheme) {
       case InterleaveScheme::kBlocking:
         blocking_overhead = result.overhead_fraction;
@@ -56,7 +65,7 @@ int main() {
         break;
     }
   }
-  table.Print(std::cout);
+  reporter.Table(table);
 
   std::cout << "\nAblation: sub-buffer count p (total reserved buffer fixed at 128 MiB/GPU):\n";
   TablePrinter ablation({"p", "Iteration (s)", "Overhead", "Ckpt done (s)"});
@@ -68,17 +77,20 @@ int main() {
                      TablePrinter::Fmt(ToSeconds(result.iteration_time)),
                      TablePrinter::Fmt(result.overhead_fraction * 100.0) + " %",
                      TablePrinter::Fmt(ToSeconds(result.checkpoint_done))});
+    const std::string key = "buffers_" + std::to_string(p);
+    reporter.Metric(key + ".overhead_fraction", result.overhead_fraction);
+    reporter.Metric(key + ".checkpoint_done_seconds", ToSeconds(result.checkpoint_done));
   }
-  ablation.Print(std::cout);
+  reporter.Table(ablation);
 
   const bool pass = blocking_overhead > 0.06 && blocking_overhead < 0.16 && naive_oom &&
                     no_pipeline_overhead > 0.0 && no_pipeline_overhead < blocking_overhead &&
                     gemini_overhead < 0.005;
-  std::cout << "\nShape check: " << (pass ? "PASS" : "FAIL")
-            << " — ordering matches the paper: GEMINI == Baseline < Interleave-w/o-\n"
-               "pipeline < Blocking (~+10%), and Naive interleave OOMs. (Our no-\n"
-               "pipeline penalty is smaller than the paper's 3.5% because the\n"
-               "simulated idle headroom is slightly larger than the testbed's;\n"
-               "see EXPERIMENTS.md.)\n";
-  return pass ? 0 : 1;
+  reporter.ShapeCheck(pass,
+                      "ordering matches the paper: GEMINI == Baseline < Interleave-w/o-\n"
+                      "pipeline < Blocking (~+10%), and Naive interleave OOMs. (Our no-\n"
+                      "pipeline penalty is smaller than the paper's 3.5% because the\n"
+                      "simulated idle headroom is slightly larger than the testbed's;\n"
+                      "see EXPERIMENTS.md.)");
+  return reporter.Finish();
 }

@@ -7,9 +7,11 @@
 using namespace gemini;
 
 int main() {
-  bench::PrintHeader("Table 1: GPU and CPU memory of GPU instances", "paper Table 1");
+  bench::BenchReporter reporter("table1_instances", "Table 1: GPU and CPU memory of GPU instances",
+                                "paper Table 1");
 
   TablePrinter table({"Instance type", "Cloud", "GPU", "GPU memory", "CPU memory", "CPU/GPU"});
+  bool cpu_exceeds_gpu = true;
   for (const InstanceSpec& spec : InstanceCatalog()) {
     const double ratio = static_cast<double>(spec.cpu_memory) /
                          static_cast<double>(spec.total_gpu_memory());
@@ -18,9 +20,15 @@ int main() {
                   std::to_string(spec.num_gpus) + " x " +
                       FormatBytes(spec.gpu_memory_per_gpu),
                   FormatBytes(spec.cpu_memory), TablePrinter::Fmt(ratio, 1) + "x"});
+    const std::string key = bench::BenchReporter::MetricKey(spec.name);
+    reporter.Metric(key + ".gpu_memory_bytes", static_cast<int64_t>(spec.total_gpu_memory()));
+    reporter.Metric(key + ".cpu_memory_bytes", static_cast<int64_t>(spec.cpu_memory));
+    reporter.Metric(key + ".cpu_to_gpu_ratio", ratio);
+    cpu_exceeds_gpu &= spec.cpu_memory > spec.total_gpu_memory();
   }
-  table.Print(std::cout);
-  std::cout << "\nShape check: CPU memory exceeds total GPU memory on every instance,\n"
-               "so a few checkpoint replicas (2x model states each) fit in host DRAM.\n";
-  return 0;
+  reporter.Table(table);
+  reporter.ShapeCheck(cpu_exceeds_gpu,
+                      "CPU memory exceeds total GPU memory on every instance,\n"
+                      "so a few checkpoint replicas (2x model states each) fit in host DRAM.");
+  return reporter.Finish();
 }

@@ -8,6 +8,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "src/baselines/system_model.h"
 #include "src/cluster/instance_spec.h"
@@ -62,13 +63,6 @@ inline CheckpointWorkload MakeWorkload(const TimelineParams& timeline,
   return workload;
 }
 
-inline void PrintHeader(const std::string& title, const std::string& paper_reference) {
-  std::printf("\n================================================================\n");
-  std::printf("%s\n", title.c_str());
-  std::printf("(reproduces %s)\n", paper_reference.c_str());
-  std::printf("================================================================\n");
-}
-
 // Machine-readable bench reporting. A bench constructs one reporter, renders
 // its tables through it, registers the headline metrics of its figure, states
 // the shape check, and returns Finish() from main(). Besides the familiar
@@ -78,8 +72,11 @@ inline void PrintHeader(const std::string& title, const std::string& paper_refer
 class BenchReporter {
  public:
   BenchReporter(std::string name, std::string title, std::string paper_reference)
-      : name_(std::move(name)), title_(std::move(title)), reference_(paper_reference) {
-    PrintHeader(title_, paper_reference);
+      : name_(std::move(name)), title_(std::move(title)), reference_(std::move(paper_reference)) {
+    std::printf("\n================================================================\n");
+    std::printf("%s\n", title_.c_str());
+    std::printf("(reproduces %s)\n", reference_.c_str());
+    std::printf("================================================================\n");
   }
 
   // Renders a table to stdout (same look as before; kept on the reporter so

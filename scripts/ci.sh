@@ -2,10 +2,11 @@
 # CI entry point: tier-1 verification plus Release and sanitizer passes.
 #
 #   scripts/ci.sh            # plain build + full ctest (perfbench
-#                            # self-tests included), committed-JSON check,
-#                            # then Release (-O2)
-#                            # build + ctest, then ASan+UBSan ctest, then
-#                            # TSan on the threaded data path
+#                            # self-tests and committed-JSON checks
+#                            # included), then Release (-O2) build + ctest,
+#                            # then ASan+UBSan ctest, then TSan on the
+#                            # threaded data path, then the forced-fallback
+#                            # CRC legs
 #   scripts/ci.sh --fast     # plain build + full ctest only
 #
 # The Release pass builds into a separate tree (build-release/) with
@@ -25,7 +26,10 @@
 #
 # The repo benchmark's self-tests (perfbench/run.py --selftest) are the ctest
 # entry perfbench_selftest (label perfbench), so the plain ctest pass runs
-# them.
+# them. Every simulated bench is a ctest entry too (label bench): it reruns
+# the bench and fails on a failed shape check or on any byte of difference
+# from its committed BENCH_<name>.json, so each ctest pass below (plain,
+# Release, ASan+UBSan) regenerates and compares all of them.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -49,20 +53,6 @@ if [[ "$fast" == "1" ]]; then
   echo "==> done (fast mode: Release and sanitizer passes skipped)"
   exit 0
 fi
-
-# The simulated benches are deterministic, so a refactor that claims
-# unchanged outputs must regenerate the committed reports byte for byte.
-echo "==> committed JSONs: regenerate and compare"
-GEMINI_BENCH_OUT_DIR="$(mktemp -d)" && trap 'rm -rf "$GEMINI_BENCH_OUT_DIR"' EXIT
-export GEMINI_BENCH_OUT_DIR
-for name in fig07_iteration_time fig09_recovery_probability fig14_recovery_timeline \
-    ext_auditor ext_cascade ext_deltas ext_policies; do
-  ./build/bench/bench_$name >/dev/null
-  if ! cmp "$GEMINI_BENCH_OUT_DIR/BENCH_$name.json" "BENCH_$name.json"; then
-    echo "FAIL: BENCH_$name.json no longer regenerates byte-identical" >&2
-    exit 1
-  fi
-done
 
 echo "==> release pass: configure + build (-DCMAKE_BUILD_TYPE=Release)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -101,40 +91,11 @@ echo "==> TSan pass: threaded data path"
 ./build-tsan/tests/gemini_system_test \
   --gtest_filter='*PipelineThreadsDoNotChangeSimulatedResults*'
 
-# Smoke-run the auditor bench: its shape check gates the zero-overhead and
-# determinism claims, and an uncapped tracer dropping records is a regression
-# even if the shape check were ever loosened.
-echo "==> bench smoke: bench_ext_auditor"
-./build/bench/bench_ext_auditor
-if ! grep -q '"stable.tracer_dropped_records": 0' \
-    "$GEMINI_BENCH_OUT_DIR/BENCH_ext_auditor.json"; then
-  echo "FAIL: uncapped tracer dropped records during the auditor smoke run" >&2
-  exit 1
-fi
-
-# Smoke-run the policy-comparison bench: its shape check gates the four
-# policies' overhead/recovery ordering, and the Chameleon selector must
-# switch at least once under the injected failure-rate shift.
-echo "==> bench smoke: bench_ext_policies"
-./build/bench/bench_ext_policies
-switches="$(sed -n 's/.*"chameleon.switches": \([0-9]*\).*/\1/p' \
-    "$GEMINI_BENCH_OUT_DIR/BENCH_ext_policies.json")"
-if [[ -z "$switches" || "$switches" -lt 1 ]]; then
-  echo "FAIL: Chameleon selector never switched during the policy smoke run" >&2
-  exit 1
-fi
-
-# Smoke-run the delta bench: its shape check gates the incremental data
-# path's headline claims — full-vs-delta runs end bit-identical, replicated
-# checkpoint bytes drop >= 2x at <= 25% dirty fraction, and dense updates
-# cost nothing extra.
-echo "==> bench smoke: bench_ext_deltas"
-./build/bench/bench_ext_deltas
-
 # Smoke-run the data-path bench from the Release tree: its shape check gates
 # the slice-by-8 CRC speedup (>= 3x over the byte-wise reference), the
-# hardware CRC speedup (>= 2x over slicing-by-8 where dispatched), and a
-# nonzero capture->replicate->commit wall-clock at every payload size.
+# hardware CRC speedup (>= 2x over slicing-by-8 where dispatched) and the
+# pooled-vs-inline serialize ratio (>= 0.9), each on the median of its
+# per-round ratios.
 echo "==> bench smoke: bench_perf_datapath (Release)"
 ./build-release/bench/bench_perf_datapath
 

@@ -20,11 +20,14 @@ namespace gemini {
 class Counter;
 class MetricsRegistry;
 
+// Provisioning from the cloud pool draws uniformly from this range; a standby
+// activates after a fixed delay.
+inline constexpr TimeNs kProvisionDelayMin = Minutes(4);
+inline constexpr TimeNs kProvisionDelayMax = Minutes(7);
+inline constexpr TimeNs kStandbyActivationDelay = Seconds(10);
+
 struct CloudOperatorConfig {
-  TimeNs provision_delay_min = Minutes(4);
-  TimeNs provision_delay_max = Minutes(7);
   int num_standby = 0;
-  TimeNs standby_activation_delay = Seconds(10);
 };
 
 class CloudOperator {
@@ -46,7 +49,6 @@ class CloudOperator {
  private:
   Simulator& sim_;
   Cluster& cluster_;
-  CloudOperatorConfig config_;
   Rng rng_;
   int standby_available_;
   int total_replacements_ = 0;

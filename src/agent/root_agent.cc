@@ -6,15 +6,10 @@
 namespace gemini {
 
 RootAgent::RootAgent(Simulator& sim, Cluster& cluster, KvStoreCluster& kv, int rank,
-                     AgentConfig config, std::function<void(const FailureReport&)> on_failure)
-    : sim_(sim),
-      cluster_(cluster),
-      kv_(kv),
-      rank_(rank),
-      config_(config),
-      on_failure_(std::move(on_failure)) {
+                     std::function<void(const FailureReport&)> on_failure)
+    : sim_(sim), cluster_(cluster), kv_(kv), rank_(rank), on_failure_(std::move(on_failure)) {
   scan_timer_ =
-      std::make_unique<RepeatingTimer>(sim_, config_.root_scan_interval, [this] { OnScanTick(); });
+      std::make_unique<RepeatingTimer>(sim_, kRootScanInterval, [this] { OnScanTick(); });
 }
 
 RootAgent::~RootAgent() = default;
@@ -42,7 +37,7 @@ void RootAgent::Stop() { scan_timer_->Stop(); }
 void RootAgent::SetPaused(bool paused) {
   paused_ = paused;
   if (!paused) {
-    grace_until_ = sim_.now() + config_.root_scan_interval;
+    grace_until_ = sim_.now() + kRootScanInterval;
   }
 }
 
@@ -64,7 +59,7 @@ void RootAgent::OnScanTick() {
   }
   // Health keys only become authoritative once the initial publish plus one
   // full lease period has passed.
-  if (sim_.now() < started_at_ + config_.health_lease_ttl + config_.root_scan_interval) {
+  if (sim_.now() < started_at_ + kHealthLeaseTtl + kRootScanInterval) {
     return;
   }
 

@@ -36,7 +36,7 @@ class RootAgent {
   // `on_failure` receives each detected failure exactly once per affected
   // rank set; re-detection of already-reported ranks is suppressed until
   // ClearHandled() re-arms them (after recovery completes).
-  RootAgent(Simulator& sim, Cluster& cluster, KvStoreCluster& kv, int rank, AgentConfig config,
+  RootAgent(Simulator& sim, Cluster& cluster, KvStoreCluster& kv, int rank,
             std::function<void(const FailureReport&)> on_failure);
   ~RootAgent();
 
@@ -69,7 +69,6 @@ class RootAgent {
   Cluster& cluster_;
   KvStoreCluster& kv_;
   int rank_;
-  AgentConfig config_;
   std::function<void(const FailureReport&)> on_failure_;
   std::unique_ptr<RepeatingTimer> scan_timer_;
   MetricsRegistry* metrics_ = nullptr;

@@ -6,13 +6,12 @@
 
 namespace gemini {
 
-WorkerAgent::WorkerAgent(Simulator& sim, Cluster& cluster, KvStoreCluster& kv, int rank,
-                         AgentConfig config)
-    : sim_(sim), cluster_(cluster), kv_(kv), rank_(rank), config_(config) {
-  keepalive_timer_ = std::make_unique<RepeatingTimer>(sim_, config_.keepalive_interval,
-                                                      [this] { OnKeepAliveTick(); });
-  root_watch_timer_ = std::make_unique<RepeatingTimer>(sim_, config_.root_scan_interval,
-                                                       [this] { OnRootWatchTick(); });
+WorkerAgent::WorkerAgent(Simulator& sim, Cluster& cluster, KvStoreCluster& kv, int rank)
+    : sim_(sim), cluster_(cluster), kv_(kv), rank_(rank) {
+  keepalive_timer_ =
+      std::make_unique<RepeatingTimer>(sim_, kKeepaliveInterval, [this] { OnKeepAliveTick(); });
+  root_watch_timer_ =
+      std::make_unique<RepeatingTimer>(sim_, kRootScanInterval, [this] { OnRootWatchTick(); });
 }
 
 WorkerAgent::~WorkerAgent() = default;
@@ -58,7 +57,7 @@ void WorkerAgent::AcquireLeaseAndPublish() {
   if (!machine_ok()) {
     return;
   }
-  kv_.LeaseGrant(config_.health_lease_ttl, [this](StatusOr<LeaseId> lease) {
+  kv_.LeaseGrant(kHealthLeaseTtl, [this](StatusOr<LeaseId> lease) {
     if (!started_ || !machine_ok()) {
       return;
     }

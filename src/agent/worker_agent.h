@@ -31,17 +31,15 @@ inline constexpr char kRootKey[] = "/gemini/root";
 inline constexpr char kStatusHealthy[] = "healthy";
 inline constexpr char kStatusProcessDown[] = "process_down";
 
-struct AgentConfig {
-  // Health-key lease TTL and keepalive cadence. With the root scan period,
-  // these give the ~15 s failure-detection latency of paper Figure 14.
-  TimeNs health_lease_ttl = Seconds(10);
-  TimeNs keepalive_interval = Seconds(3);
-  TimeNs root_scan_interval = Seconds(5);
-};
+// Health-key lease TTL and keepalive cadence. With the root scan period,
+// these give the ~15 s failure-detection latency of paper Figure 14.
+inline constexpr TimeNs kHealthLeaseTtl = Seconds(10);
+inline constexpr TimeNs kKeepaliveInterval = Seconds(3);
+inline constexpr TimeNs kRootScanInterval = Seconds(5);
 
 class WorkerAgent {
  public:
-  WorkerAgent(Simulator& sim, Cluster& cluster, KvStoreCluster& kv, int rank, AgentConfig config);
+  WorkerAgent(Simulator& sim, Cluster& cluster, KvStoreCluster& kv, int rank);
   ~WorkerAgent();
 
   void Start();
@@ -83,7 +81,6 @@ class WorkerAgent {
   Cluster& cluster_;
   KvStoreCluster& kv_;
   int rank_;
-  AgentConfig config_;
   bool started_ = false;
   LeaseId lease_ = kNoLease;
   std::string last_status_ = kStatusHealthy;

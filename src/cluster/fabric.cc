@@ -67,8 +67,7 @@ void Fabric::SendControl(int src_rank, int dst_rank, std::function<void()> deliv
   if (!alive_(src_rank)) {
     return;
   }
-  sim_.ScheduleAfter(config_.control_delay,
-                     [this, src_rank, dst_rank, deliver = std::move(deliver)] {
+  sim_.ScheduleAfter(kControlDelay, [this, src_rank, dst_rank, deliver = std::move(deliver)] {
     if (!alive_(dst_rank) || !Connected(src_rank, dst_rank)) {
       return;
     }

@@ -28,9 +28,10 @@ struct FabricConfig {
   BytesPerSecond link_bandwidth = GbpsToBytesPerSecond(400);
   // Per-transfer startup cost (the alpha in f(s) = alpha + s/B).
   TimeNs alpha = Micros(100);
-  // One-way propagation delay for control messages.
-  TimeNs control_delay = Micros(50);
 };
+
+// One-way propagation delay for control messages.
+inline constexpr TimeNs kControlDelay = Micros(50);
 
 class Fabric {
  public:
@@ -68,7 +69,7 @@ class Fabric {
   // and completes after `duration`.
   void Local(TimeNs duration, DoneCallback done);
 
-  // Delivers a control message (no bandwidth use) after control_delay.
+  // Delivers a control message (no bandwidth use) after kControlDelay.
   void SendControl(int src_rank, int dst_rank, std::function<void()> deliver);
 
   // Earliest time a bulk transfer src->dst could begin.

@@ -190,8 +190,7 @@ Status GeminiSystem::Initialize() {
   // root election becomes the root agent (the same path used at failover).
   workers_.clear();
   for (int rank = 0; rank < config_.num_machines; ++rank) {
-    auto worker =
-        std::make_unique<WorkerAgent>(sim_, *cluster_, *kvstore_, rank, config_.agent);
+    auto worker = std::make_unique<WorkerAgent>(sim_, *cluster_, *kvstore_, rank);
     worker->set_on_promoted_to_root([this, rank] { OnWorkerPromotedToRoot(rank); });
     worker->set_metrics(&metrics_);
     worker->set_tracer(&tracer_);
@@ -1335,7 +1334,7 @@ void GeminiSystem::MaybeStartReprotection() {
 
 void GeminiSystem::RestartAgentsForRank(int rank) {
   workers_[static_cast<size_t>(rank)]->Stop();
-  auto worker = std::make_unique<WorkerAgent>(sim_, *cluster_, *kvstore_, rank, config_.agent);
+  auto worker = std::make_unique<WorkerAgent>(sim_, *cluster_, *kvstore_, rank);
   worker->set_on_promoted_to_root([this, rank] { OnWorkerPromotedToRoot(rank); });
   worker->set_metrics(&metrics_);
   worker->set_tracer(&tracer_);
@@ -1355,7 +1354,7 @@ void GeminiSystem::OnWorkerPromotedToRoot(int rank) {
     root_agent_->Stop();
   }
   root_agent_ = std::make_unique<RootAgent>(
-      sim_, *cluster_, *kvstore_, rank, config_.agent,
+      sim_, *cluster_, *kvstore_, rank,
       [this](const FailureReport& report) { OnFailureDetected(report); });
   root_agent_->set_metrics(&metrics_);
   root_agent_->Start();

@@ -120,7 +120,6 @@ struct GeminiConfig {
   // in-memory checkpoints by default) plus the per-policy knobs and the
   // online Chameleon selector's switch rules.
   PolicyConfig policy;
-  AgentConfig agent;
   CloudOperatorConfig cloud;
   KvStoreConfig kvstore;
   PersistentStoreConfig persistent;

@@ -233,7 +233,7 @@ void KvStoreCluster::EmitWatchEvents(const std::vector<WatchEvent>& events) {
         // observe state "before" it was committed.
         WatchCallback cb = reg.callback;
         WatchEvent copy = event;
-        sim_.ScheduleAfter(fabric_.config().control_delay,
+        sim_.ScheduleAfter(kControlDelay,
                            [cb = std::move(cb), copy = std::move(copy)] { cb(copy); });
       }
     }

@@ -156,10 +156,7 @@ void InterferenceAuditor::NoteBackgroundTransfer(int span_index, Bytes bytes, Ti
 void InterferenceAuditor::NoteFailure(TimeNs now) { failure_times_.push_back(now); }
 
 double InterferenceAuditor::ObservedFailureRatePerHour(TimeNs now) const {
-  if (config_.failure_rate_window <= 0) {
-    return 0.0;
-  }
-  const TimeNs window_start = now - config_.failure_rate_window;
+  const TimeNs window_start = now - kFailureRateWindow;
   int64_t in_window = 0;
   for (auto it = failure_times_.rbegin(); it != failure_times_.rend(); ++it) {
     if (*it < window_start) {
@@ -168,7 +165,7 @@ double InterferenceAuditor::ObservedFailureRatePerHour(TimeNs now) const {
     ++in_window;
   }
   const double window_hours =
-      static_cast<double>(config_.failure_rate_window) / static_cast<double>(kHour);
+      static_cast<double>(kFailureRateWindow) / static_cast<double>(kHour);
   return static_cast<double>(in_window) / window_hours;
 }
 

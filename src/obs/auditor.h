@@ -56,10 +56,11 @@ struct AuditorConfig {
   int consecutive_iterations = 3;
   // Upper bound on hook firings per run; guards against oscillation.
   int max_reprofiles = 4;
-  // Sliding window over which NoteFailure events are converted into the
-  // observed failure rate (the Chameleon selector's primary signal).
-  TimeNs failure_rate_window = Hours(1);
 };
+
+// Sliding window over which NoteFailure events are converted into the
+// observed failure rate (the Chameleon selector's primary signal).
+inline constexpr TimeNs kFailureRateWindow = Hours(1);
 
 // Interference attribution for one idle span: walk the chunks planned into
 // the span in placement order, accumulating their transfer cost f(size); a
@@ -119,7 +120,7 @@ class InterferenceAuditor {
   void NoteBackgroundTransfer(int span_index, Bytes bytes, TimeNs start, TimeNs end);
 
   // Failure-rate observation: the system reports each detected failure, and
-  // the rate is the count inside the trailing `failure_rate_window` scaled to
+  // the rate is the count inside the trailing kFailureRateWindow scaled to
   // per-hour. Purely simulated-time arithmetic — deterministic.
   void NoteFailure(TimeNs now);
   double ObservedFailureRatePerHour(TimeNs now) const;

@@ -89,8 +89,7 @@ void ChameleonSelector::MaybeSwitch(PolicyHost& host, int64_t iteration) {
   if (iteration % kDecisionIntervalIterations != 0) {
     return;
   }
-  if (switched_yet_ &&
-      iteration - last_switch_iteration_ < options_.min_iterations_between_switches) {
+  if (switched_yet_ && iteration - last_switch_iteration_ < kMinIterationsBetweenSwitches) {
     return;
   }
   const double rate = host.observed_failure_rate_per_hour();

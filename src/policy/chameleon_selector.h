@@ -27,6 +27,9 @@
 
 namespace gemini {
 
+// Hysteresis: at least this many iterations between switches.
+inline constexpr int64_t kMinIterationsBetweenSwitches = 32;
+
 // One recorded switch, for tests, benches, and the trace timeline.
 struct PolicySwitchEvent {
   int64_t iteration = 0;

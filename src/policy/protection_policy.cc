@@ -77,9 +77,6 @@ Status PolicyConfig::Validate() const {
   if (recompute.recompute_iterations < 0.0) {
     return InvalidArgumentError("recompute.recompute_iterations must be non-negative");
   }
-  if (chameleon.min_iterations_between_switches < 0) {
-    return InvalidArgumentError("chameleon.min_iterations_between_switches must be >= 0");
-  }
   if (chameleon.low_failure_rate_per_hour < 0.0 ||
       chameleon.high_failure_rate_per_hour <= chameleon.low_failure_rate_per_hour) {
     return InvalidArgumentError(

@@ -222,8 +222,6 @@ struct RecomputeOptions {
 // degradation/interference growth thresholds are constants in
 // chameleon_selector.cc.
 struct ChameleonOptions {
-  // At least this many iterations between switches (hysteresis).
-  int64_t min_iterations_between_switches = 32;
   // Failure-rate band (failures/hour, auditor-observed): above the high
   // water mark buy the fastest recovery (GEMINI); below the low water mark
   // shed checkpoint overhead (Checkmate).

@@ -17,7 +17,7 @@ ProfileResult ProfileIdleSpans(const IterationTimeline& nominal, const ProfilerC
   for (int iter = 0; iter < config.iterations; ++iter) {
     TimeNs iteration_time = 0;
     for (size_t s = 0; s < num_spans; ++s) {
-      const double factor = std::max(0.0, rng.Normal(1.0, config.span_jitter_stddev));
+      const double factor = std::max(0.0, rng.Normal(1.0, kProfiledSpanJitterStddev));
       const double observed =
           static_cast<double>(nominal.idle_spans[s].length) * factor;
       span_stats[s].Add(observed);

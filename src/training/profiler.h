@@ -24,11 +24,12 @@ struct ProfileResult {
   int iterations_profiled = 0;
 };
 
+// Multiplicative per-span jitter the "real" runs exhibit; the paper measured
+// under 10% normalized stddev.
+inline constexpr double kProfiledSpanJitterStddev = 0.05;
+
 struct ProfilerConfig {
   int iterations = 20;
-  // Multiplicative per-span jitter the "real" runs exhibit; the paper
-  // measured under 10% normalized stddev.
-  double span_jitter_stddev = 0.05;
 };
 
 // Observes `config.iterations` perturbed instances of the nominal timeline

@@ -24,7 +24,7 @@ class AgentTest : public ::testing::Test {
     kv_->Start();
     for (int rank = 0; rank < 4; ++rank) {
       workers_.push_back(
-          std::make_unique<WorkerAgent>(sim_, *cluster_, *kv_, rank, AgentConfig{}));
+          std::make_unique<WorkerAgent>(sim_, *cluster_, *kv_, rank));
     }
   }
 
@@ -119,7 +119,7 @@ TEST_F(AgentTest, RootFailoverPromotesAnotherWorker) {
 TEST_F(AgentTest, RootAgentDetectsHardwareFailure) {
   StartWorkers();
   std::vector<FailureReport> reports;
-  RootAgent root(sim_, *cluster_, *kv_, 0, AgentConfig{},
+  RootAgent root(sim_, *cluster_, *kv_, 0,
                  [&](const FailureReport& report) { reports.push_back(report); });
   root.Start();
   Settle(Seconds(20));
@@ -138,7 +138,7 @@ TEST_F(AgentTest, RootAgentDetectsHardwareFailure) {
 TEST_F(AgentTest, RootAgentDetectsSoftwareFailure) {
   StartWorkers();
   std::vector<FailureReport> reports;
-  RootAgent root(sim_, *cluster_, *kv_, 0, AgentConfig{},
+  RootAgent root(sim_, *cluster_, *kv_, 0,
                  [&](const FailureReport& report) { reports.push_back(report); });
   root.Start();
   Settle(Seconds(20));
@@ -154,7 +154,7 @@ TEST_F(AgentTest, DetectionLatencyMatchesFigure14Scale) {
   // 5 s scans, detection should land within roughly 10-30 s.
   StartWorkers();
   std::vector<FailureReport> reports;
-  RootAgent root(sim_, *cluster_, *kv_, 0, AgentConfig{},
+  RootAgent root(sim_, *cluster_, *kv_, 0,
                  [&](const FailureReport& report) { reports.push_back(report); });
   root.Start();
   Settle(Seconds(30));
@@ -170,7 +170,7 @@ TEST_F(AgentTest, DetectionLatencyMatchesFigure14Scale) {
 TEST_F(AgentTest, PausedRootAgentReportsNothing) {
   StartWorkers();
   std::vector<FailureReport> reports;
-  RootAgent root(sim_, *cluster_, *kv_, 0, AgentConfig{},
+  RootAgent root(sim_, *cluster_, *kv_, 0,
                  [&](const FailureReport& report) { reports.push_back(report); });
   root.Start();
   root.SetPaused(true);

@@ -314,10 +314,8 @@ TEST(ChameleonSelectorTest, SwitchesOnFailureRateShift) {
   EXPECT_EQ(switches[1].to, PolicyKind::kGemini);
   EXPECT_EQ(switches[1].reason, "failure_rate_high");
   // Hysteresis: successive switches respect the minimum iteration gap.
-  const ChameleonOptions defaults;
   for (size_t i = 1; i < switches.size(); ++i) {
-    EXPECT_GE(switches[i].iteration - switches[i - 1].iteration,
-              defaults.min_iterations_between_switches);
+    EXPECT_GE(switches[i].iteration - switches[i - 1].iteration, kMinIterationsBetweenSwitches);
   }
 }
 
