@@ -20,7 +20,7 @@ struct Measurement {
   int64_t preempted = 0;
   int64_t deduplicated = 0;
   int64_t reported = 0;
-  RecoverySource source = RecoverySource::kLocalCpuMemory;
+  RecoveryStepKind source = RecoveryStepKind::kRestoreFromLocalCpu;
   TimeNs downtime = 0;
   double degraded_seconds = 0.0;
   bool state_ok = false;
@@ -114,7 +114,7 @@ int main() {
     pass &= measurement->preempted == depth;
     pass &= measurement->reported ==
             static_cast<int64_t>(measurement->records) + measurement->deduplicated;
-    pass &= measurement->source == RecoverySource::kRemoteCpuMemory;
+    pass &= measurement->source == RecoveryStepKind::kFetchFromPeers;
     pass &= measurement->state_ok;
     pass &= measurement->degraded_seconds > 0.0;
   }

@@ -23,7 +23,7 @@ struct Measurement {
   TimeNs detection = 0;
   TimeNs downtime = 0;
   TimeNs wasted = 0;
-  RecoverySource source = RecoverySource::kLocalCpuMemory;
+  RecoveryStepKind source = RecoveryStepKind::kRestoreFromLocalCpu;
   int64_t rollback = 0;
 };
 

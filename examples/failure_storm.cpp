@@ -53,7 +53,7 @@ int main() {
               static_cast<long long>(report->iterations_completed));
   std::printf("failures recovered:   %zu\n", report->recoveries.size());
 
-  std::map<RecoverySource, int> by_source;
+  std::map<RecoveryStepKind, int> by_source;
   TimeNs total_wasted = 0;
   TimeNs total_downtime = 0;
   for (const RecoveryRecord& recovery : report->recoveries) {

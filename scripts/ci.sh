@@ -4,10 +4,14 @@
 #   scripts/ci.sh            # plain build + full ctest (perfbench
 #                            # self-tests and committed-JSON checks
 #                            # included), then Release (-O2) build + ctest,
-#                            # then ASan+UBSan ctest, then TSan on the
-#                            # threaded data path, then the forced-fallback
-#                            # CRC legs
+#                            # then ASan+UBSan build + ctest, then TSan on
+#                            # the threaded data path, then the
+#                            # forced-fallback CRC legs
 #   scripts/ci.sh --fast     # plain build + full ctest only
+#
+# The plain, Release and ASan+UBSan trees each run their full ctest once, in
+# parallel; that one pass covers every label (obs, policy, delta, chaos,
+# bench, perf, perfbench).
 #
 # The Release pass builds into a separate tree (build-release/) with
 # -DCMAKE_BUILD_TYPE=Release: the perf-labelled benches gate their speedup
@@ -46,9 +50,6 @@ cmake --build build -j
 echo "==> tier-1: ctest"
 (cd build && ctest --output-on-failure -j"$(nproc)")
 
-echo "==> tier-1: ctest -L policy (protection-policy engine)"
-(cd build && ctest --output-on-failure -L policy)
-
 if [[ "$fast" == "1" ]]; then
   echo "==> done (fast mode: Release and sanitizer passes skipped)"
   exit 0
@@ -65,17 +66,8 @@ echo "==> sanitizer pass: configure + build (address,undefined)"
 cmake -B build-asan -S . -DGEMINI_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j
 
-echo "==> sanitizer pass: ctest -L obs (auditor, flight recorder, tracer determinism)"
-(cd build-asan && ctest --output-on-failure -L obs)
-
-echo "==> sanitizer pass: ctest -L policy (policy engine under ASan+UBSan)"
-(cd build-asan && ctest --output-on-failure -L policy)
-
-echo "==> sanitizer pass: ctest -L delta (incremental checkpoints under ASan+UBSan)"
-(cd build-asan && ctest --output-on-failure -L delta)
-
-echo "==> sanitizer pass: ctest (remaining suites)"
-(cd build-asan && ctest --output-on-failure -LE 'obs|policy|delta' -j"$(nproc)")
+echo "==> sanitizer pass: ctest"
+(cd build-asan && ctest --output-on-failure -j"$(nproc)")
 
 echo "==> TSan pass: configure + build (thread)"
 cmake -B build-tsan -S . -DGEMINI_SANITIZE=thread >/dev/null

@@ -12,19 +12,16 @@
 // CpuCheckpointStores (double-buffered), with a PersistentStore tier for the
 // 3-hourly user checkpoints and the group-loss fallback path.
 //
-// Recovery faithfully follows Section 6.2:
-//  * software failure  -> all ranks reload their local CPU replica;
-//  * hardware, case 1  -> replaced machines fetch replicas from group peers;
-//  * hardware, case 2  -> a whole group died: everyone rolls back to the
-//                         latest complete persistent checkpoint;
-//  * root death        -> workers detect the expired root key and promote
-//                         one of themselves via the KV election primitive.
+// Recovery follows Section 6.2 and lives in RecoveryCoordinator
+// (recovery_coordinator.h): software failures reload the local CPU replica,
+// hardware case 1 fetches from group peers, case 2 rolls back to persistent
+// storage. Root death stays here: workers detect the expired root key and
+// promote one of themselves via the KV election primitive.
 #ifndef SRC_GEMINI_GEMINI_SYSTEM_H_
 #define SRC_GEMINI_GEMINI_SYSTEM_H_
 
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -52,6 +49,7 @@
 
 namespace gemini {
 
+class RecoveryCoordinator;
 class ThreadPool;
 
 struct GeminiConfig {
@@ -131,22 +129,16 @@ struct GeminiConfig {
   Status Validate() const;
 };
 
-enum class RecoverySource {
-  kLocalCpuMemory,
-  kRemoteCpuMemory,
-  kPersistentStorage,
-  // Persistent base + deterministic gradient replay (Checkmate-style).
-  kGradientReplay,
-  // Lost state rebuilt in place from peer redundancy (recompute policies).
-  kPeerRecompute,
-};
-
-std::string_view RecoverySourceName(RecoverySource source);
+// The name a recovery's source goes by in logs, traces and reports
+// ("local_cpu_memory", "remote_cpu_memory", "persistent_storage",
+// "gradient_replay", "peer_recompute").
+std::string_view RecoverySourceName(RecoveryStepKind source);
 
 struct RecoveryRecord {
   FailureType type = FailureType::kSoftware;
   std::vector<int> failed_ranks;
-  RecoverySource source = RecoverySource::kLocalCpuMemory;
+  // The fallback-chain step that restored the state.
+  RecoveryStepKind source = RecoveryStepKind::kRestoreFromLocalCpu;
   TimeNs failure_detected_at = 0;
   TimeNs training_resumed_at = 0;
   int64_t iteration_at_failure = 0;
@@ -298,7 +290,7 @@ class GeminiSystem : public PolicyHost {
   ProtectionPolicy& policy() { return *policy_; }
   const ProtectionPolicy& policy() const { return *policy_; }
   int root_rank() const { return root_rank_; }
-  bool recovering() const { return recovering_; }
+  bool recovering() const;
 
   // ---- PolicyHost (the slice policies program against) --------------------
   const ExecutionResult& execution() const override { return execution_; }
@@ -367,82 +359,11 @@ class GeminiSystem : public PolicyHost {
   // Section 5.3), and rebaseline the auditor.
   void ReprofileAndRepartition(int64_t iteration);
 
-  // ---- Recovery (Section 6.2, hardened) ----
-  // One recovery *case* merges every FailureReport that arrives while it is
-  // in flight: an overlapping failure escalates the case (hardware supersedes
-  // software), extends its rank set, bumps `recovery_epoch_`, and restarts
-  // the case analysis against the updated alive set. Every in-flight recovery
-  // callback carries the epoch it was scheduled under and no-ops when a
-  // preemption made it stale. At resume, one RecoveryRecord is emitted per
-  // absorbed report — overlapping failures are never dropped.
-  struct ActiveRecoveryCase {
-    FailureType type = FailureType::kSoftware;  // Escalates, never de-escalates.
-    std::vector<FailureReport> reports;         // Every report merged into the case.
-    std::set<int> ranks;                        // Union of all reported ranks.
-    std::set<int> replacing;                    // Replacement requested (once per rank).
-    std::vector<int> replaced;                  // Fresh-DRAM ranks (replacement done).
-    int pending_replacements = 0;
-    TimeNs first_detected_at = 0;
-    TimeNs serialize_done_at = 0;
-    int64_t iteration_at_failure = 0;
-  };
-  struct RecoveryPass;
-  using RecoveryPassPtr = std::shared_ptr<RecoveryPass>;
-
-  void OnFailureDetected(const FailureReport& report);
-  void AbsorbFailureDuringRecovery(const FailureReport& report);
-  // (Re)starts the case under a fresh epoch: software cases schedule the
-  // local restore, hardware cases replace any still-dead ranks first.
-  void StartRecoveryAttempt();
-  void OnMachineReplaced(int rank, Machine& machine);
-  // Once no replacement is pending, schedules the Section 6.2 case analysis
-  // after the serialization window.
-  void MaybeAnalyzeHardwareCase();
-  // Starts a pass down the policy's fallback chain for the active case.
-  void StartRecoveryPass(RecoveryPlan plan, std::vector<int> replaced_ranks);
-  // Runs the pass's current step. Each step either resumes training
-  // (ResumeAfter) or falls through to the next step; only an exhausted chain
-  // ends the run.
-  void ExecuteRecoverySteps(const RecoveryPassPtr& pass);
-  // False once a preemption made the pass stale or it fell through.
-  bool Live(const RecoveryPass& pass) const;
-  // Aborts the pass's current step and runs the next one.
-  void FallThrough(const RecoveryPassPtr& pass);
-  // RestoreAll, falling through when the trainer rejects the checkpoints.
-  bool RestoreOrFallThrough(const RecoveryPassPtr& pass,
-                            const std::vector<Checkpoint>& checkpoints);
-  // Records the rollback and wasted time (lost iterations, the step's elapsed
-  // time, and `stall`), then resumes training `stall + delay` from now.
-  void ResumeAfter(const RecoveryPassPtr& pass, TimeNs stall, TimeNs delay);
-  // kRestoreFromLocalCpu: every rank reloads its own CPU replica through the
-  // serialized (CRC-guarded) form.
-  void RestoreFromLocalCpu(const RecoveryPassPtr& pass);
-  // kFetchFromPeers: fetch replacements' checkpoints from alive group peers,
-  // retrying across all holders (capped exponential backoff, CRC per
-  // attempt).
-  void RetrieveFromPeers(const RecoveryPassPtr& pass);
-  void TryFetchReplica(const RecoveryPassPtr& pass, int rank, int attempt);
-  void FinishPeerRetrieval(const RecoveryPassPtr& pass);
-  // kFetchFromPersistent rolls everyone back to the persistent tier;
-  // kReplayLoggedGradients then replays the logged gradient stream to the
-  // failure iteration (zero rollback).
-  void RetrieveFromPersistent(const RecoveryPassPtr& pass);
-  // kRecomputeFromPeers: rebuild lost state in place from peer redundancy at
-  // a fixed iterations-worth of recompute cost.
-  void RecomputeFromPeers(const RecoveryPassPtr& pass);
-  void ResumeTraining(RecoveryRecord record);
-  void RestartAgentsForRank(int rank);
+  // ---- Agents ----
+  std::unique_ptr<WorkerAgent> StartWorkerAgent(int rank);
+  // A replaced machine's co-located KV member and worker agent start afresh.
+  void RestartServicesOnRank(int rank);
   void OnWorkerPromotedToRoot(int rank);
-
-  // ---- Re-protection (recovery hardening) ----
-  // After a hardware recovery resumes training, replaced machines hold no
-  // replicas for the owners they are assigned — the cluster runs with
-  // degraded redundancy. A background pass streams the missing replicas back
-  // through the Replicator's chunked data plane (chunks sized by the
-  // Algorithm-2 partition so the traffic stays inside idle spans) and exports
-  // the vulnerability window as system.redundancy.degraded_seconds.
-  void QueueReprotection(const std::vector<int>& targets, TimeNs degraded_since);
-  void MaybeStartReprotection();
 
   GeminiConfig config_;
   Simulator sim_;
@@ -457,9 +378,6 @@ class GeminiSystem : public PolicyHost {
   std::unique_ptr<PersistentStore> persistent_;
   // Checkpoint data-path worker pool (null when pipeline_threads <= 1).
   std::unique_ptr<ThreadPool> datapath_pool_;
-  // Re-protection's receive-side assembly buffers, recycled across passes
-  // and freed with the system.
-  PayloadPool assembly_pool_;
   std::vector<std::unique_ptr<CpuCheckpointStore>> cpu_stores_;
   std::unique_ptr<ShardedTrainer> trainer_;
   std::unique_ptr<CloudOperator> cloud_;
@@ -503,18 +421,11 @@ class GeminiSystem : public PolicyHost {
   Bytes incremental_committed_bytes_ = 0;
   Bytes incremental_full_equivalent_bytes_ = 0;
 
+  // Failure absorption, recovery passes and re-protection (Section 6.2).
+  std::unique_ptr<RecoveryCoordinator> recovery_;
+
   bool initialized_ = false;
   bool running_ = false;
-  bool recovering_ = false;
-  // The active merged failure case (set while recovering_) and the epoch that
-  // invalidates stale recovery callbacks after a mid-recovery preemption.
-  std::optional<ActiveRecoveryCase> active_case_;
-  uint64_t recovery_epoch_ = 0;
-  // Replaced machines awaiting the background re-replication pass.
-  std::set<int> reprotect_targets_;
-  TimeNs degraded_since_ = 0;
-  bool reprotection_inflight_ = false;
-  int reprotection_attempts_ = 0;
   int64_t target_iterations_ = 0;
   TimeNs run_started_at_ = 0;
   TimeNs last_persistent_checkpoint_at_ = 0;

@@ -7,27 +7,15 @@
 #include <string>
 
 #include "src/common/crc32.h"
-#include "src/common/thread_pool.h"
 #include "src/obs/auditor.h"
 #include "src/obs/metrics.h"
 
 namespace gemini {
 namespace {
 
-// Assembly buffers recycled across replication passes (double-buffer aware:
-// a buffer still pinned by a store's completed slot is never handed out).
-// The fallback for callers that pass no ReplicatorConfig::pool. It lives for
-// the whole process and is not synchronized, so one thread at a time may use
-// it; GeminiSystem passes a pool it owns.
-PayloadPool& DefaultAssemblyPool() {
-  static PayloadPool pool;
-  return pool;
-}
-
 // Shared completion state across all streams of one snapshot.
 struct Outcome {
   ReplicationOutcome result;
-  MetricsRegistry* metrics = nullptr;
   InterferenceAuditor* auditor = nullptr;
   // Hot-path metric handles, resolved once per replication pass — chunk
   // completions must not pay a string-keyed map lookup each.
@@ -40,30 +28,27 @@ struct Outcome {
   // Final totals match the per-chunk form exactly.
   int64_t unflushed_chunks = 0;
   int64_t unflushed_bytes = 0;
-  // Worker pool for the commit path's integrity CRC. Borrowed from the
-  // caller via ReplicatorConfig::workers, or owned for this pass when only
-  // pipeline_threads was set. Null = inline sequential CRC.
+  // Worker pool for the commit path's integrity CRC (ReplicatorConfig::
+  // workers). Null = inline sequential CRC.
   ThreadPool* workers = nullptr;
-  std::unique_ptr<ThreadPool> owned_workers;
   int pending_streams = 0;
   bool failed = false;
   std::function<void(ReplicationOutcome)> done;
 
-  void ResolveMetricHandles() {
-    if (metrics == nullptr) {
-      return;
+  // One pass's state, wired to the config's auditor, workers and metrics.
+  static std::shared_ptr<Outcome> ForPass(const ReplicatorConfig& config,
+                                          std::function<void(ReplicationOutcome)> done) {
+    auto outcome = std::make_shared<Outcome>();
+    outcome->auditor = config.auditor;
+    outcome->workers = config.workers;
+    outcome->done = std::move(done);
+    if (config.metrics != nullptr) {
+      outcome->chunks_transferred_counter =
+          &config.metrics->counter("replicator.chunks_transferred");
+      outcome->bytes_replicated_counter = &config.metrics->counter("replicator.bytes_replicated");
+      outcome->commits_counter = &config.metrics->counter("replicator.commits");
     }
-    chunks_transferred_counter = &metrics->counter("replicator.chunks_transferred");
-    bytes_replicated_counter = &metrics->counter("replicator.bytes_replicated");
-    commits_counter = &metrics->counter("replicator.commits");
-  }
-
-  void AdoptWorkers(const ReplicatorConfig& config) {
-    workers = config.workers;
-    if (workers == nullptr && config.pipeline_threads > 1) {
-      owned_workers = std::make_unique<ThreadPool>(config.pipeline_threads);
-      workers = owned_workers.get();
-    }
+    return outcome;
   }
 
   void FlushMetricBatch() {
@@ -108,11 +93,10 @@ struct Stream : std::enable_shared_from_this<Stream> {
   // redundancy goal was already met, so losing that race is success.
   bool tolerate_supersede = false;
   std::vector<ChunkAssignment> chunks;
-  TimeNs alpha = 0;
   size_t next_send = 0;
   size_t committed_chunks = 0;
-  // Received-side assembly target, leased from the pool for this stream's
-  // lifetime and frozen into the committed checkpoint.
+  // Received-side assembly target, allocated for this stream and frozen
+  // into the committed checkpoint.
   std::shared_ptr<std::vector<float>> assembled;
   // Elements written through SliceFor; must tile the payload exactly.
   size_t assembled_elements = 0;
@@ -219,8 +203,8 @@ struct Stream : std::enable_shared_from_this<Stream> {
       // Integrity gate: the digest stamped at capture must match the bytes
       // this stream reassembled. Crc32Parallel fans the pass across the
       // configured worker pool (per-segment CRCs combined in rank order —
-      // the same value at any thread count); with the default
-      // pipeline_threads = 1 it is one inline sequential pass.
+      // the same value at any thread count); with no pool it is one inline
+      // sequential pass.
       if (Crc32Parallel(received.payload.data(), received.payload.size_bytes(),
                         outcome->workers) != received.payload_crc) {
         outcome->Fail(DataLossError("replica assembled for rank " +
@@ -247,6 +231,15 @@ struct Stream : std::enable_shared_from_this<Stream> {
   }
 };
 
+// Fills every stream's p-deep send window.
+void SendWindows(const std::vector<std::shared_ptr<Stream>>& streams, int num_buffers) {
+  for (const auto& stream : streams) {
+    for (int i = 0; i < std::max(1, num_buffers); ++i) {
+      stream->SendNext();
+    }
+  }
+}
+
 }  // namespace
 
 void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
@@ -258,13 +251,7 @@ void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
   assert(static_cast<int>(stores.size()) == cluster.size());
   assert(static_cast<int>(snapshots.size()) == cluster.size());
 
-  PayloadPool& pool = config.pool != nullptr ? *config.pool : DefaultAssemblyPool();
-  auto outcome = std::make_shared<Outcome>();
-  outcome->metrics = config.metrics;
-  outcome->auditor = config.auditor;
-  outcome->ResolveMetricHandles();
-  outcome->AdoptWorkers(config);
-  outcome->done = std::move(done);
+  const std::shared_ptr<Outcome> outcome = Outcome::ForPass(config, std::move(done));
 
   std::vector<std::shared_ptr<Stream>> streams;
   for (int owner = 0; owner < cluster.size(); ++owner) {
@@ -285,8 +272,7 @@ void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
       stream->snapshot = snapshot;  // Shares the payload buffer.
       stream->source = owner;
       stream->dest = dest;
-      stream->alpha = config.comm_alpha;
-      stream->assembled = pool.Acquire(snapshot.payload.size());
+      stream->assembled = std::make_shared<std::vector<float>>(snapshot.payload.size());
       for (const ChunkAssignment& chunk : chunks) {
         if (chunk.replica_index == static_cast<int>(replica)) {
           stream->chunks.push_back(chunk);
@@ -318,12 +304,7 @@ void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
   }
 
   outcome->pending_streams += static_cast<int>(streams.size());
-  for (const auto& stream : streams) {
-    const int window = std::max(1, config.num_buffers);
-    for (int i = 0; i < window; ++i) {
-      stream->SendNext();
-    }
-  }
+  SendWindows(streams, config.num_buffers);
 }
 
 void ReprotectReplicas(Cluster& cluster, const PlacementPlan& placement,
@@ -333,13 +314,7 @@ void ReprotectReplicas(Cluster& cluster, const PlacementPlan& placement,
                        std::function<void(ReplicationOutcome)> done) {
   assert(static_cast<int>(stores.size()) == cluster.size());
 
-  PayloadPool& pool = config.pool != nullptr ? *config.pool : DefaultAssemblyPool();
-  auto outcome = std::make_shared<Outcome>();
-  outcome->metrics = config.metrics;
-  outcome->auditor = config.auditor;
-  outcome->ResolveMetricHandles();
-  outcome->AdoptWorkers(config);
-  outcome->done = std::move(done);
+  const std::shared_ptr<Outcome> outcome = Outcome::ForPass(config, std::move(done));
 
   std::vector<std::shared_ptr<Stream>> streams;
   for (const int target : target_ranks) {
@@ -381,8 +356,7 @@ void ReprotectReplicas(Cluster& cluster, const PlacementPlan& placement,
       stream->source = source;
       stream->dest = target;
       stream->tolerate_supersede = true;
-      stream->alpha = config.comm_alpha;
-      stream->assembled = pool.Acquire(snapshot->payload.size());
+      stream->assembled = std::make_shared<std::vector<float>>(snapshot->payload.size());
       const Bytes total = snapshot->logical_bytes;
       const Bytes step = chunk_bytes > 0 ? std::min(chunk_bytes, total) : total;
       for (Bytes offset = 0; offset < total; offset += step) {
@@ -414,12 +388,7 @@ void ReprotectReplicas(Cluster& cluster, const PlacementPlan& placement,
     config.metrics->counter("replicator.reprotected_replicas")
         .Increment(static_cast<int64_t>(streams.size()));
   }
-  for (const auto& stream : streams) {
-    const int window = std::max(1, config.num_buffers);
-    for (int i = 0; i < window; ++i) {
-      stream->SendNext();
-    }
-  }
+  SendWindows(streams, config.num_buffers);
 }
 
 }  // namespace gemini

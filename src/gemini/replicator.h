@@ -9,10 +9,12 @@
 // through the local PCIe path. Payload bytes are sliced proportionally to
 // chunk sizes so the committed checkpoints are bit-identical to the source.
 //
-// GeminiSystem uses the executor's timing for long simulations; tests and
-// the cross-validation example run the replicator to confirm that the real
-// event-driven data plane (a) commits exactly the snapshot bytes and (b)
-// finishes in the time the analytic model predicts.
+// Steady-state checkpoint commits take the executor's timing, so
+// ReplicateSnapshot runs only in tests, which confirm that the event-driven
+// data plane (a) commits exactly the snapshot bytes and (b) finishes in the
+// time the analytic model predicts. ReprotectReplicas is live: after a
+// hardware recovery, GeminiSystem's RecoveryCoordinator streams the replaced
+// machines' missing replicas back through it.
 #ifndef SRC_GEMINI_REPLICATOR_H_
 #define SRC_GEMINI_REPLICATOR_H_
 
@@ -35,7 +37,6 @@ class ThreadPool;
 struct ReplicatorConfig {
   // Number of in-flight sub-buffers on the receive path (pipeline depth p).
   int num_buffers = 4;
-  TimeNs comm_alpha = Micros(100);
   // Optional sink for "replicator.*" counters; may stay null. Per-chunk
   // increments are batched in the pass and flushed once per stream commit —
   // final totals are unchanged, but mid-pass reads see coarser granularity.
@@ -43,20 +44,11 @@ struct ReplicatorConfig {
   // Optional interference auditor notified of every completed chunk transfer
   // (the background traffic it attributes inflation to); may stay null.
   InterferenceAuditor* auditor = nullptr;
-  // Pool the receive-side assembly buffers are leased from, so steady-state
-  // replication allocates nothing once warm. Null = a process-wide default
-  // whose buffers outlive the caller and which only one thread at a time
-  // may use.
-  PayloadPool* pool = nullptr;
-  // Host-side wall-clock parallelism for the commit path's integrity CRC
-  // over each assembled replica (per-segment CRCs combined in rank order —
-  // bit-identical to one thread). 1 (the default) runs everything inline on
-  // the simulator thread, keeping the discrete-event engine deterministic
-  // and single-threaded; values > 1 only change wall-clock, never simulated
+  // Host-side workers for the commit path's integrity CRC over each
+  // assembled replica (per-segment CRCs combined in rank order —
+  // bit-identical to one thread). Null (the default) runs it inline on the
+  // simulator thread; a pool only changes wall-clock, never simulated
   // timing, event order, or bytes.
-  int pipeline_threads = 1;
-  // Worker pool to use when pipeline_threads > 1. Null = the pass creates a
-  // private pool of pipeline_threads for its own lifetime.
   ThreadPool* workers = nullptr;
 };
 

@@ -26,22 +26,6 @@ std::string_view PolicyKindName(PolicyKind kind) {
   return "unknown";
 }
 
-std::string_view RecoveryStepKindName(RecoveryStepKind kind) {
-  switch (kind) {
-    case RecoveryStepKind::kRestoreFromLocalCpu:
-      return "restore_from_local_cpu";
-    case RecoveryStepKind::kFetchFromPeers:
-      return "fetch_from_peers";
-    case RecoveryStepKind::kFetchFromPersistent:
-      return "fetch_from_persistent";
-    case RecoveryStepKind::kReplayLoggedGradients:
-      return "replay_logged_gradients";
-    case RecoveryStepKind::kRecomputeFromPeers:
-      return "recompute_from_peers";
-  }
-  return "unknown";
-}
-
 void ProtectionPolicy::Activate(PolicyHost& host) {
   // Publish the self-reported overhead so selectors and benches read every
   // policy's economics from one place, whether or not it ever ran.

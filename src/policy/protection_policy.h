@@ -4,7 +4,8 @@
 // design space; Checkmate-style gradient replication, tiered CPU+persistent
 // checkpointing, and recompute-from-peers occupy others. This seam makes the
 // *strategy* pluggable while GeminiSystem keeps owning the *mechanisms*
-// (event loop, replacement, retrieval cascades, resume bookkeeping):
+// (the event loop, and in its RecoveryCoordinator replacement, retrieval
+// cascades and resume bookkeeping):
 //
 //  * `ProtectionPolicy` decides per-iteration capture/commit, the persistent
 //    cadence, the recovery serialization bill, and — per failure — an ordered
@@ -64,6 +65,7 @@ struct IterationPlan {
 
 // One stage of a recovery fallback chain. The host executes stages in order;
 // a stage that cannot produce a restorable state falls through to the next.
+// The stage that restores the state is the RecoveryRecord's source.
 enum class RecoveryStepKind {
   kRestoreFromLocalCpu,    // Every rank reloads its own CPU replica.
   kFetchFromPeers,         // Replaced ranks fetch replicas from group peers.
@@ -71,8 +73,6 @@ enum class RecoveryStepKind {
   kReplayLoggedGradients,  // Persistent base + deterministic gradient replay.
   kRecomputeFromPeers,     // Rebuild lost state from peer redundancy in place.
 };
-
-std::string_view RecoveryStepKindName(RecoveryStepKind kind);
 
 struct RecoveryStep {
   RecoveryStepKind kind = RecoveryStepKind::kFetchFromPersistent;

@@ -111,39 +111,6 @@ class PayloadRef {
   size_t size_ = 0;
 };
 
-// Recycles payload buffers across checkpoint iterations so the replicator's
-// steady-state stream assembly is allocation-free once warm. Acquire() hands
-// back a previously released buffer only when no PayloadRef still references
-// it — "double-buffer aware": a buffer pinned by a store's completed slot is
-// skipped, so with double-buffered stores the pool settles at ~2 buffers per
-// producer and then cycles them.
-class PayloadPool {
- public:
-  // A mutable buffer of exactly `count` elements (contents unspecified).
-  // Freeze the filled buffer into a checkpoint with `PayloadRef(std::shared_
-  // ptr<const std::vector<float>>(buffer))`, then Release() it back.
-  std::shared_ptr<std::vector<float>> Acquire(size_t count) {
-    for (auto& slot : buffers_) {
-      if (slot.use_count() == 1 && slot->capacity() >= count) {
-        std::shared_ptr<std::vector<float>> buffer = slot;
-        buffer->resize(count);
-        return buffer;
-      }
-    }
-    buffers_.push_back(std::make_shared<std::vector<float>>(count));
-    return buffers_.back();
-  }
-
-  // Hands the buffer's ownership back (the pool already tracks it; this just
-  // drops the caller's reference so a future Acquire can see use_count 1).
-  void Release(std::shared_ptr<std::vector<float>>&& buffer) { buffer.reset(); }
-
-  size_t allocated_buffers() const { return buffers_.size(); }
-
- private:
-  std::vector<std::shared_ptr<std::vector<float>>> buffers_;
-};
-
 struct Checkpoint {
   // Rank of the machine whose model states these are.
   int owner_rank = -1;

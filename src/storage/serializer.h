@@ -20,10 +20,9 @@ namespace gemini {
 
 class ThreadPool;
 
-// Recycles serialized-blob buffers across checkpoints the way PayloadPool
-// recycles float buffers: Acquire() hands back a released buffer only when
-// no other shared_ptr still references it, so a blob pinned by an in-flight
-// upload is never clobbered. Steady-state serialization is allocation-free
+// Recycles serialized-blob buffers across checkpoints: Acquire() hands back
+// a released buffer only when no other shared_ptr still references it, so a
+// blob pinned by an in-flight upload is never clobbered. Steady-state serialization is allocation-free
 // once warm.
 class BlobPool {
  public:

@@ -73,7 +73,7 @@ TEST(ChaosTest, SecondHardwareFailureDuringPeerRetrievalYieldsTwoRecords) {
   ASSERT_EQ(report->recoveries.size(), 2u) << "the absorbed failure must keep its own record";
   for (const RecoveryRecord& recovery : report->recoveries) {
     EXPECT_EQ(recovery.type, FailureType::kHardware);
-    EXPECT_EQ(recovery.source, RecoverySource::kRemoteCpuMemory)
+    EXPECT_EQ(recovery.source, RecoveryStepKind::kFetchFromPeers)
         << "groups {4,5} and {6,7} each kept a survivor; CPU memory suffices";
   }
   // The two records share the resolution but keep their own detection times.
@@ -112,7 +112,7 @@ TEST(ChaosTest, FlakyHolderLinkResolvesFromCpuMemoryAfterRetry) {
   ASSERT_TRUE(report.ok()) << report.status();
 
   ASSERT_GE(report->recoveries.size(), 1u);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kRemoteCpuMemory)
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kFetchFromPeers)
       << "a transient link failure must not force a persistent-tier rollback";
   EXPECT_GE(system.metrics().counter_value("replicator.retries"), 1);
   ExpectNoDroppedReports(system, *report);
@@ -137,7 +137,7 @@ TEST(ChaosTest, CorruptedReplicaForcesRetryCascadeToNextHolder) {
   ASSERT_TRUE(report.ok()) << report.status();
 
   ASSERT_GE(report->recoveries.size(), 1u);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kRemoteCpuMemory);
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kFetchFromPeers);
   EXPECT_GE(system.metrics().counter_value("cpu_store.crc_failures"), 1)
       << "the corrupted replica must be caught by its CRC";
   EXPECT_GE(system.metrics().counter_value("replicator.retries"), 1);
@@ -171,7 +171,7 @@ TEST(ChaosTest, CorruptedDeltaChainLinkForcesCascadeToIntactHolder) {
   ASSERT_TRUE(report.ok()) << report.status();
 
   ASSERT_GE(report->recoveries.size(), 1u);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kRemoteCpuMemory);
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kFetchFromPeers);
   EXPECT_GE(system.metrics().counter_value("injector.corruptions_injected"), 1)
       << "the armed chain link was never flipped (chain empty at the trigger?)";
   EXPECT_GE(system.metrics().counter_value("cpu_store.crc_failures"), 1)
@@ -204,7 +204,7 @@ TEST(ChaosTest, SoftwareFailureWithCorruptLocalChainFallsBackToDurableBase) {
 
   ASSERT_GE(report->recoveries.size(), 1u);
   EXPECT_EQ(report->recoveries[0].type, FailureType::kSoftware);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kPersistentStorage)
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kFetchFromPersistent)
       << "the corrupt local chain must push recovery to the durable tier";
   EXPECT_GE(system.metrics().counter_value("injector.corruptions_injected"), 1);
   EXPECT_GE(system.metrics().counter_value("cpu_store.crc_failures"), 1);
@@ -230,7 +230,7 @@ TEST(ChaosTest, SoftwareFailureDuringReprotectionBothRecover) {
 
   ASSERT_GE(report->recoveries.size(), 2u);
   EXPECT_EQ(report->recoveries[0].type, FailureType::kHardware);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kRemoteCpuMemory);
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kFetchFromPeers);
   EXPECT_EQ(report->recoveries[1].type, FailureType::kSoftware);
   // Re-protection completed and the vulnerability window was measured.
   EXPECT_GE(system.metrics().counter_value("system.reprotections"), 1);
@@ -243,6 +243,63 @@ TEST(ChaosTest, SoftwareFailureDuringReprotectionBothRecover) {
   ExpectNoDroppedReports(system, *report);
   EXPECT_EQ(report->iterations_completed, 10);
   ExpectStateMatchesReference(system, config, 10);
+}
+
+TEST(ChaosTest, FailedReprotectionPassIsRetriedAndSuccessResetsAttempts) {
+  // Rank 7 fails twice. Each time the replaced machine is re-protected from
+  // rank 6 over the 6->7 link, which drops the first transfer of passes 1, 2
+  // and 4: after the first failure passes 1 and 2 fail and pass 3 restores
+  // the replica set; after the second, pass 4 fails and pass 5 succeeds. At
+  // most three consecutive passes may fail, so pass 5 runs only when pass 3's
+  // success reset the count.
+  GeminiConfig config = SmallConfig();
+  GeminiSystem system(config);
+  ASSERT_TRUE(system.Initialize().ok());
+  system.failure_injector().InjectAt(Minutes(4), FailureType::kHardware, {7});
+  system.failure_injector().InjectAt(Minutes(30), FailureType::kHardware, {7});
+  // A pass bumps replicator.reprotected_replicas as it starts, so a new
+  // value of that counter marks the first transfer of a new pass. Retrieval
+  // also crosses 6->7, but only while the system is recovering.
+  struct Drops {
+    int64_t streams_started = 0;
+    int passes = 0;
+    int dropped = 0;
+  };
+  auto drops = std::make_shared<Drops>();
+  system.cluster().fabric().set_partition_check([&system, drops](int src, int dst) {
+    const bool pair67 = (src == 6 && dst == 7) || (src == 7 && dst == 6);
+    if (!pair67 || system.recovering()) {
+      return true;
+    }
+    const int64_t started = system.metrics().counter_value("replicator.reprotected_replicas");
+    if (started == drops->streams_started) {
+      return true;
+    }
+    drops->streams_started = started;
+    ++drops->passes;
+    if (drops->passes == 1 || drops->passes == 2 || drops->passes == 4) {
+      ++drops->dropped;
+      return false;
+    }
+    return true;
+  });
+  const auto report = system.TrainUntil(40, /*sim_deadline=*/Hours(8));
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  ASSERT_EQ(report->recoveries.size(), 2u);
+  for (const RecoveryRecord& recovery : report->recoveries) {
+    EXPECT_EQ(RecoverySourceName(recovery.source), "remote_cpu_memory");
+  }
+  EXPECT_EQ(drops->dropped, 3);
+  EXPECT_EQ(drops->passes, 5) << "a failed pass must be retried, and a success resets the cap";
+  EXPECT_EQ(system.metrics().counter_value("system.reprotections"), 2);
+  EXPECT_GT(system.metrics().gauge_value("system.redundancy.degraded_seconds"), 0.0);
+  for (int owner : {6, 7}) {
+    EXPECT_GE(system.cpu_store(7).LatestIteration(owner), 0) << "owner " << owner;
+  }
+  ExpectNoDroppedReports(system, *report);
+  EXPECT_EQ(report->iterations_completed, 40);
+  ExpectStateMatchesReference(system, config, 40);
 }
 
 TEST(ChaosTest, CorrelatedBurstAcrossGroupsRecoversFromCpuMemory) {
@@ -259,7 +316,7 @@ TEST(ChaosTest, CorrelatedBurstAcrossGroupsRecoversFromCpuMemory) {
 
   ASSERT_GE(report->recoveries.size(), 1u);
   for (const RecoveryRecord& recovery : report->recoveries) {
-    EXPECT_EQ(recovery.source, RecoverySource::kRemoteCpuMemory);
+    EXPECT_EQ(recovery.source, RecoveryStepKind::kFetchFromPeers);
   }
   // All three victims were replaced and re-protected or refilled by later
   // foreground commits.

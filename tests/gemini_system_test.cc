@@ -158,7 +158,7 @@ TEST(GeminiSystemTest, SoftwareFailureRecoversFromLocalCpuMemory) {
   ASSERT_EQ(report->recoveries.size(), 1u);
   const RecoveryRecord& recovery = report->recoveries[0];
   EXPECT_EQ(recovery.type, FailureType::kSoftware);
-  EXPECT_EQ(recovery.source, RecoverySource::kLocalCpuMemory);
+  EXPECT_EQ(recovery.source, RecoveryStepKind::kRestoreFromLocalCpu);
   EXPECT_EQ(recovery.failed_ranks, (std::vector<int>{6}));
   // Rollback loses at most one iteration of progress (per-iteration ckpts).
   EXPECT_LE(recovery.iteration_at_failure - recovery.rollback_iteration, 1);
@@ -186,7 +186,7 @@ TEST(GeminiSystemTest, HardwareFailureRecoversFromGroupPeer) {
   ASSERT_EQ(report->recoveries.size(), 1u);
   const RecoveryRecord& recovery = report->recoveries[0];
   EXPECT_EQ(recovery.type, FailureType::kHardware);
-  EXPECT_EQ(recovery.source, RecoverySource::kRemoteCpuMemory);
+  EXPECT_EQ(recovery.source, RecoveryStepKind::kFetchFromPeers);
   // The machine was actually replaced.
   EXPECT_EQ(system.cluster().machine(7).incarnation(), 1);
   EXPECT_EQ(system.cloud_operator().total_replacements(), 1);
@@ -210,7 +210,7 @@ TEST(GeminiSystemTest, TwoFailuresInDifferentGroupsStillUseCpuMemory) {
   ASSERT_TRUE(report.ok()) << report.status();
 
   ASSERT_GE(report->recoveries.size(), 1u);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kRemoteCpuMemory);
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kFetchFromPeers);
   ExpectStateMatchesReference(system, config, 8);
 }
 
@@ -225,7 +225,7 @@ TEST(GeminiSystemTest, WholeGroupLossFallsBackToPersistentStorage) {
 
   ASSERT_GE(report->recoveries.size(), 1u);
   const RecoveryRecord& recovery = report->recoveries[0];
-  EXPECT_EQ(recovery.source, RecoverySource::kPersistentStorage);
+  EXPECT_EQ(recovery.source, RecoveryStepKind::kFetchFromPersistent);
   // The only complete persistent checkpoint is the initial one: training
   // rolled all the way back (the paper's motivating disaster case).
   EXPECT_EQ(recovery.rollback_iteration, 0);
@@ -290,7 +290,7 @@ TEST(GeminiSystemTest, ThreeReplicasSurviveTwoGroupMembersFailing) {
   const auto report = system.TrainUntil(8);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_GE(report->recoveries.size(), 1u);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kRemoteCpuMemory);
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kFetchFromPeers);
   ExpectStateMatchesReference(system, config, 8);
 }
 
@@ -402,7 +402,7 @@ TEST(GeminiSystemTest, HolderDeathDuringRecoveryFallsBackToPersistent) {
   const auto report = system.TrainUntil(8, /*sim_deadline=*/Hours(4));
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_GE(report->recoveries.size(), 1u);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kPersistentStorage);
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kFetchFromPersistent);
   // State still converges to the uninterrupted reference.
   if (report->iterations_completed == 8) {
     ExpectStateMatchesReference(system, config, 8);
@@ -421,7 +421,7 @@ TEST(GeminiSystemTest, PersistentFallbackUsesLatestPersistentCheckpoint) {
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_GE(report->recoveries.size(), 1u);
   const RecoveryRecord& recovery = report->recoveries[0];
-  EXPECT_EQ(recovery.source, RecoverySource::kPersistentStorage);
+  EXPECT_EQ(recovery.source, RecoveryStepKind::kFetchFromPersistent);
   EXPECT_GT(recovery.rollback_iteration, 0)
       << "should roll back to the mid-training persistent checkpoint";
   ExpectStateMatchesReference(system, config, report->iterations_completed);
@@ -439,8 +439,8 @@ TEST(GeminiSystemTest, SingleReplicaConfigSurvivesSoftwareButNotHardware) {
   const auto report = system.TrainUntil(10, /*sim_deadline=*/Hours(4));
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_GE(report->recoveries.size(), 2u);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kLocalCpuMemory);
-  EXPECT_EQ(report->recoveries[1].source, RecoverySource::kPersistentStorage);
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kRestoreFromLocalCpu);
+  EXPECT_EQ(report->recoveries[1].source, RecoveryStepKind::kFetchFromPersistent);
   ExpectStateMatchesReference(system, config, report->iterations_completed);
 }
 
@@ -491,7 +491,7 @@ TEST(GeminiSystemTest, DiskBackedPersistentTierRoundTripsThroughFiles) {
   const auto report = system.TrainUntil(6, /*sim_deadline=*/Hours(4));
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_GE(report->recoveries.size(), 1u);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kPersistentStorage);
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kFetchFromPersistent);
   ExpectStateMatchesReference(system, config, report->iterations_completed);
   std::error_code ec;
   std::filesystem::remove_all(config.persistent.disk_dir, ec);

@@ -254,7 +254,7 @@ TEST(ObsIntegrationTest, RecoverySpansReconcileWithRecoveryRecord) {
   const MetricsRegistry& metrics = system.metrics();
   EXPECT_EQ(metrics.counter_value("system.recoveries"), 1);
   EXPECT_EQ(metrics.counter_value("system.recoveries.remote_cpu"),
-            record.source == RecoverySource::kRemoteCpuMemory ? 1 : 0);
+            record.source == RecoveryStepKind::kFetchFromPeers ? 1 : 0);
   EXPECT_EQ(metrics.counter_value("system.failures_detected"), 1);
   EXPECT_EQ(metrics.counter_value("injector.failures_injected"), 1);
   EXPECT_EQ(metrics.counter_value("cloud.replacements"), 1);

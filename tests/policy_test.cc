@@ -48,6 +48,42 @@ void ExpectStateMatchesReference(GeminiSystem& system, const GeminiConfig& confi
   }
 }
 
+// The three readouts of a recovery's source: the record's name, its
+// system.recoveries.* counter and its SystemSnapshot field.
+struct SourceReadout {
+  std::string_view name;
+  std::string_view counter;
+  int64_t SystemSnapshot::*snapshot_field;
+};
+constexpr SourceReadout kSourceReadouts[] = {
+    {"local_cpu_memory", "system.recoveries.local_cpu",
+     &SystemSnapshot::recoveries_from_local_cpu},
+    {"remote_cpu_memory", "system.recoveries.remote_cpu",
+     &SystemSnapshot::recoveries_from_remote_cpu},
+    {"persistent_storage", "system.recoveries.persistent",
+     &SystemSnapshot::recoveries_from_persistent},
+    {"gradient_replay", "system.recoveries.replay", &SystemSnapshot::recoveries_from_replay},
+    {"peer_recompute", "system.recoveries.recompute",
+     &SystemSnapshot::recoveries_from_recompute},
+};
+
+// The run's single recovery came from `expected`, and every readout agrees:
+// one record, one counter increment and one snapshot count under that name,
+// zero under the other four.
+void ExpectSingleRecoveryFrom(const GeminiSystem& system, std::string_view expected) {
+  ASSERT_EQ(system.report().recoveries.size(), 1u);
+  EXPECT_EQ(RecoverySourceName(system.report().recoveries[0].source), expected);
+  const SystemSnapshot snapshot = system.Snapshot();
+  EXPECT_EQ(snapshot.recoveries, 1);
+  EXPECT_EQ(system.metrics().counter_value("system.recoveries"), 1);
+  for (const SourceReadout& readout : kSourceReadouts) {
+    const int64_t want = readout.name == expected ? 1 : 0;
+    EXPECT_EQ(system.metrics().counter_value(readout.counter), want)
+        << readout.counter;
+    EXPECT_EQ(snapshot.*readout.snapshot_field, want) << readout.name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Configuration validation
 // ---------------------------------------------------------------------------
@@ -132,7 +168,8 @@ TEST(GeminiPolicyTest, SoftwareRecoveryRestoresBitExactState) {
   const StatusOr<TrainingReport> report = system.TrainUntil(60);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_EQ(report->recoveries.size(), 1u);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kLocalCpuMemory);
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kRestoreFromLocalCpu);
+  ExpectSingleRecoveryFrom(system, "local_cpu_memory");
   ExpectStateMatchesReference(system, config, 60);
 }
 
@@ -145,7 +182,8 @@ TEST(GeminiPolicyTest, HardwareRecoveryRestoresBitExactState) {
   const StatusOr<TrainingReport> report = system.TrainUntil(60);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_EQ(report->recoveries.size(), 1u);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kRemoteCpuMemory);
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kFetchFromPeers);
+  ExpectSingleRecoveryFrom(system, "remote_cpu_memory");
   ExpectStateMatchesReference(system, config, 60);
 }
 
@@ -207,10 +245,11 @@ TEST(CheckmatePolicyTest, ReplayRecoveryLosesNoProgress) {
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_EQ(report->recoveries.size(), 1u);
   const RecoveryRecord& recovery = report->recoveries[0];
-  EXPECT_EQ(recovery.source, RecoverySource::kGradientReplay);
+  EXPECT_EQ(recovery.source, RecoveryStepKind::kReplayLoggedGradients);
   // The replayed gradient stream reproduces the pre-failure state bit-exactly:
   // zero iterations of progress are lost.
   EXPECT_EQ(recovery.rollback_iteration, recovery.iteration_at_failure);
+  ExpectSingleRecoveryFrom(system, "gradient_replay");
   ExpectStateMatchesReference(system, config, 60);
   // No CPU checkpoint traffic at all; the gradient log was counted instead.
   EXPECT_EQ(system.Snapshot().cpu_checkpoints_committed, 0);
@@ -240,7 +279,8 @@ TEST(CheckmatePolicyTest, FailedReplayFallsThroughToPersistentRollback) {
   const StatusOr<TrainingReport> report = system.TrainUntil(60, Hours(2));
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_EQ(report->recoveries.size(), 1u);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kPersistentStorage);
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kFetchFromPersistent);
+  ExpectSingleRecoveryFrom(system, "persistent_storage");
   EXPECT_EQ(report->iterations_completed, 60);
   ExpectStateMatchesReference(system, config, 60);
 }
@@ -258,9 +298,10 @@ TEST(RecomputePolicyTest, HardwareRecoveryRecomputesWithoutCheckpoints) {
   const StatusOr<TrainingReport> report = system.TrainUntil(60);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_EQ(report->recoveries.size(), 1u);
-  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kPeerRecompute);
+  EXPECT_EQ(report->recoveries[0].source, RecoveryStepKind::kRecomputeFromPeers);
   EXPECT_EQ(report->recoveries[0].rollback_iteration,
             report->recoveries[0].iteration_at_failure);
+  ExpectSingleRecoveryFrom(system, "peer_recompute");
   ExpectStateMatchesReference(system, config, 60);
   const SystemSnapshot snapshot = system.Snapshot();
   EXPECT_EQ(snapshot.cpu_checkpoints_committed, 0);

@@ -93,9 +93,9 @@ TEST_F(ReplicatorTest, CommitsBitIdenticalCheckpointsAtAllHolders) {
 }
 
 TEST_F(ReplicatorTest, PipelineThreadsCommitBitIdenticalCheckpoints) {
-  // pipeline_threads > 1 only parallelizes the commit path's integrity CRC
-  // on the host: the committed bytes, the simulated completion times, and
-  // the chunk counts must all be identical to the single-threaded default.
+  // A worker pool only parallelizes the commit path's integrity CRC on the
+  // host: the committed bytes, the simulated completion times, and the chunk
+  // counts must all be identical to the inline default.
   trainer_->Step();
   const std::vector<Checkpoint> snapshots = Snapshots();
 
@@ -108,8 +108,9 @@ TEST_F(ReplicatorTest, PipelineThreadsCommitBitIdenticalCheckpoints) {
 
   trainer_->Step();  // New iteration so the second pass commits fresh state.
   const std::vector<Checkpoint> next = Snapshots();
+  ThreadPool shared_pool(4);
   ReplicatorConfig parallel_config;
-  parallel_config.pipeline_threads = 4;
+  parallel_config.workers = &shared_pool;
   const TimeNs second_start = sim_.now();
   std::optional<ReplicationOutcome> outcome;
   ReplicateSnapshot(*cluster_, placement_, StorePointers(), next, EvenChunks(16),
@@ -131,19 +132,6 @@ TEST_F(ReplicatorTest, PipelineThreadsCommitBitIdenticalCheckpoints) {
           << "holder " << holder << " owner " << owner << " bytes diverged";
     }
   }
-  // A shared caller-owned pool works the same way.
-  trainer_->Step();
-  const std::vector<Checkpoint> third = Snapshots();
-  ThreadPool shared_pool(4);
-  ReplicatorConfig shared_config;
-  shared_config.workers = &shared_pool;
-  std::optional<ReplicationOutcome> shared_outcome;
-  ReplicateSnapshot(*cluster_, placement_, StorePointers(), third, EvenChunks(16),
-                    shared_config,
-                    [&](ReplicationOutcome result) { shared_outcome = result; });
-  sim_.Run();
-  ASSERT_TRUE(shared_outcome.has_value());
-  ASSERT_TRUE(shared_outcome->status.ok()) << shared_outcome->status;
 }
 
 TEST_F(ReplicatorTest, CommitRejectsPayloadDigestMismatch) {

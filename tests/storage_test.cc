@@ -252,7 +252,7 @@ TEST_F(CpuStoreTest, MultipleOwnersAreIndependent) {
 }
 
 // ---------------------------------------------------------------------------
-// Payload sharing (PayloadRef / PayloadPool / copy-on-write)
+// Payload sharing (PayloadRef / copy-on-write)
 // ---------------------------------------------------------------------------
 
 TEST(PayloadRefTest, CopiesShareOneBuffer) {
@@ -279,23 +279,6 @@ TEST(PayloadRefTest, MutableDataDetachesOntoPrivateCopy) {
   EXPECT_FALSE(corrupted.SharesBufferWith(original));
   EXPECT_EQ(original[1], 2.0f);  // The other holder never sees the write.
   EXPECT_EQ(corrupted[1], -99.0f);
-}
-
-TEST(PayloadPoolTest, RecyclesReleasedBuffersButNotPinnedOnes) {
-  PayloadPool pool;
-  std::shared_ptr<std::vector<float>> first = pool.Acquire(64);
-  std::vector<float>* first_raw = first.get();
-  // Still referenced (a store's completed slot would hold it like this): a
-  // second Acquire must not hand the same buffer out again.
-  std::shared_ptr<std::vector<float>> second = pool.Acquire(64);
-  EXPECT_NE(second.get(), first_raw);
-  EXPECT_EQ(pool.allocated_buffers(), 2u);
-  // Once released, the buffer is reused instead of allocating a third.
-  pool.Release(std::move(first));
-  std::shared_ptr<std::vector<float>> third = pool.Acquire(32);
-  EXPECT_EQ(third.get(), first_raw);
-  EXPECT_EQ(third->size(), 32u);
-  EXPECT_EQ(pool.allocated_buffers(), 2u);
 }
 
 TEST_F(CpuStoreTest, CommittedCheckpointsAcrossStoresAliasOneBuffer) {
