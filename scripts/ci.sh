@@ -4,19 +4,26 @@
 #   scripts/ci.sh            # plain build + full ctest (perfbench
 #                            # self-tests and committed-JSON checks
 #                            # included), then Release (-O2) build + ctest,
-#                            # then ASan+UBSan build + ctest, then TSan on
-#                            # the threaded data path, then the
-#                            # forced-fallback CRC legs
+#                            # then an x86-64-v4 build + ctest (AVX-512
+#                            # hosts only), then ASan+UBSan build + ctest,
+#                            # then TSan on the threaded data path, then
+#                            # the forced-fallback CRC legs
 #   scripts/ci.sh --fast     # plain build + full ctest only
 #
-# The plain, Release and ASan+UBSan trees each run their full ctest once, in
-# parallel; that one pass covers every label (obs, policy, delta, chaos,
-# bench, perf, perfbench).
+# The plain, Release, x86-64-v4 and ASan+UBSan trees each run their full
+# ctest once, in parallel; that one pass covers every label (obs, policy,
+# delta, chaos, bench, perf, perfbench).
 #
 # The Release pass builds into a separate tree (build-release/) with
 # -DCMAKE_BUILD_TYPE=Release: the perf-labelled benches gate their speedup
 # shape checks there, at the optimization level the claims are made for, and
-# an -O2-only miscompile or assert-hidden bug surfaces before merge. The
+# an -O2-only miscompile or assert-hidden bug surfaces before merge. The ISA
+# pass builds into build-isa/ with -march=x86-64-v4, so the whole tree (not
+# only the trainer's dispatched AVX-512 kernel) is compiled for AVX-512 with
+# FMA available; its ctest compares every committed BENCH_<name>.json byte
+# for byte, which holds only while -ffp-contract=off keeps the compiler from
+# fusing multiply-adds. It is skipped, with a message, on hosts whose
+# /proc/cpuinfo lacks avx512dq. The
 # sanitizer pass builds into build-asan/ with
 # -DGEMINI_SANITIZE=address,undefined so the instrumented binaries never mix
 # with the plain ones. The TSan pass builds into build-tsan/ with
@@ -61,6 +68,17 @@ cmake --build build-release -j
 
 echo "==> release pass: ctest"
 (cd build-release && ctest --output-on-failure -j"$(nproc)")
+
+if grep -qw avx512dq /proc/cpuinfo 2>/dev/null; then
+  echo "==> ISA pass: configure + build (-march=x86-64-v4)"
+  cmake -B build-isa -S . -DCMAKE_CXX_FLAGS=-march=x86-64-v4 >/dev/null
+  cmake --build build-isa -j
+
+  echo "==> ISA pass: ctest"
+  (cd build-isa && ctest --output-on-failure -j"$(nproc)")
+else
+  echo "==> ISA pass: skipped (no avx512dq in /proc/cpuinfo; x86-64-v4 binaries cannot run here)"
+fi
 
 echo "==> sanitizer pass: configure + build (address,undefined)"
 cmake -B build-asan -S . -DGEMINI_SANITIZE=address,undefined >/dev/null

@@ -625,23 +625,35 @@ void RecoveryCoordinator::MaybeStartReprotection() {
         reprotection_inflight_ = false;
         if (!outcome.status.ok()) {
           GEMINI_LOG(kWarning) << "re-protection pass failed: " << outcome.status;
-          if (deps_.running && ++reprotection_attempts_ < kReprotectionMaxAttempts) {
-            sim_.ScheduleAfter(kReprotectionRetryDelay, [this] { MaybeStartReprotection(); });
+          if (!deps_.running) {
+            return;
           }
-          return;
+          if (++reprotection_attempts_ < kReprotectionMaxAttempts) {
+            sim_.ScheduleAfter(kReprotectionRetryDelay, [this] { MaybeStartReprotection(); });
+            return;
+          }
         }
+        // Success or give-up: either way this window closes now. A give-up
+        // leaves the machines degraded until a later failure queues them
+        // again, and that pass accounts only its own window.
         reprotection_attempts_ = 0;
         for (const int rank : targets) {
           reprotect_targets_.erase(rank);
         }
-        metrics_.counter("system.reprotections").Increment();
         metrics_.gauge("system.redundancy.degraded_seconds")
             .Add(static_cast<double>(sim_.now() - since) / 1e9);
-        tracer_.Span("reprotection", "recovery", started, sim_.now(),
-                     {TraceAttr::Int("targets", static_cast<int64_t>(targets.size()))});
-        GEMINI_LOG(kInfo) << "re-protection: full replica sets restored for "
-                          << targets.size() << " replaced machine(s) after "
-                          << FormatDuration(sim_.now() - since) << " degraded";
+        if (outcome.status.ok()) {
+          metrics_.counter("system.reprotections").Increment();
+          tracer_.Span("reprotection", "recovery", started, sim_.now(),
+                       {TraceAttr::Int("targets", static_cast<int64_t>(targets.size()))});
+          GEMINI_LOG(kInfo) << "re-protection: full replica sets restored for "
+                            << targets.size() << " replaced machine(s) after "
+                            << FormatDuration(sim_.now() - since) << " degraded";
+        } else {
+          GEMINI_LOG(kWarning) << "re-protection: giving up after " << kReprotectionMaxAttempts
+                               << " failed passes; " << targets.size()
+                               << " replaced machine(s) stay degraded";
+        }
         MaybeStartReprotection();
       });
 }

@@ -159,7 +159,9 @@ class RecoveryCoordinator {
   // degraded redundancy. A background pass streams the missing replicas back
   // through the Replicator's chunked data plane (chunks sized by the
   // Algorithm-2 partition so the traffic stays inside idle spans) and exports
-  // the vulnerability window as system.redundancy.degraded_seconds.
+  // the vulnerability window as system.redundancy.degraded_seconds. A failed
+  // pass is retried; after three in a row the window is closed anyway (added
+  // to the gauge) and the targets are dropped.
   void QueueReprotection(const std::vector<int>& targets, TimeNs degraded_since);
   void MaybeStartReprotection();
 

@@ -9,24 +9,90 @@
 namespace gemini {
 namespace {
 
-// Deterministic per-element update delta derived from (seed, iteration,
-// rank, element) — a stand-in for a gradient step that makes divergence
-// detectable at single-bit resolution.
-float UpdateDelta(uint64_t seed, int64_t iteration, int rank, size_t element) {
-  uint64_t x = seed;
-  x ^= static_cast<uint64_t>(iteration) * 0x9E3779B97F4A7C15ULL;
-  x ^= (static_cast<uint64_t>(rank) + 1) * 0xBF58476D1CE4E5B9ULL;
-  x ^= (static_cast<uint64_t>(element) + 1) * 0x94D049BB133111EBULL;
+// The deterministic update, a stand-in for a gradient step that makes
+// divergence detectable at single-bit resolution. Each element's delta mixes
+// (seed, iteration, rank, element) through a splitmix-style finalizer into
+// [-0.5, 0.5); `stream` is the loop-invariant part, StreamKey(seed,
+// iteration, rank). The initial states are the deltas of iteration -1; a
+// step decays every element by 0.999 and adds its delta.
+uint64_t StreamKey(uint64_t seed, int64_t iteration, int rank) {
+  return seed ^ (static_cast<uint64_t>(iteration) * 0x9E3779B97F4A7C15ULL) ^
+         ((static_cast<uint64_t>(rank) + 1) * 0xBF58476D1CE4E5B9ULL);
+}
+
+[[gnu::always_inline]] inline float ElementDelta(uint64_t stream, size_t element) {
+  uint64_t x = stream ^ ((static_cast<uint64_t>(element) + 1) * 0x94D049BB133111EBULL);
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   x ^= x >> 31;
-  // Map to [-0.5, 0.5).
   return static_cast<float>(static_cast<double>(x >> 11) * 0x1.0p-53 - 0.5);
+}
+
+// Restrict-qualified parameters tell the vectorizer the source and the
+// destination do not overlap, so the copy loop needs no runtime alias check.
+[[gnu::always_inline]] inline void UpdateInto(uint64_t stream, const float* __restrict in,
+                                              float* __restrict out, size_t begin, size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    out[i] = in[i] * 0.999f + ElementDelta(stream, i);
+  }
+}
+
+// out[i] = (in ? in[i] * 0.999f : 0) + delta(i) over [begin, end), where
+// `in` is null (initial states), `out` (in place) or a disjoint buffer.
+// The element order and the float rounding steps are fixed, and the build
+// compiles with -ffp-contract=off, so no ISA may fuse the multiply-add:
+// every build computes the same bits.
+[[gnu::always_inline]] inline void UpdateRangeBody(uint64_t stream, const float* in, float* out,
+                                                   size_t begin, size_t end) {
+  if (in == nullptr) {
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = ElementDelta(stream, i);
+    }
+  } else if (in == out) {
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = out[i] * 0.999f + ElementDelta(stream, i);
+    }
+  } else {
+    UpdateInto(stream, in, out, begin, end);
+  }
+}
+
+using UpdateRangeFn = void (*)(uint64_t, const float*, float*, size_t, size_t);
+
+void UpdateRangeDefault(uint64_t stream, const float* in, float* out, size_t begin, size_t end) {
+  UpdateRangeBody(stream, in, out, begin, end);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+// The same body built for x86-64-v4 (AVX-512), where the vectorizer has
+// 64-bit lane multiplies and int64 -> double conversions for the mixer.
+__attribute__((target("arch=x86-64-v4"))) void UpdateRangeX86V4(uint64_t stream,
+                                                                 const float* in, float* out,
+                                                                 size_t begin, size_t end) {
+  UpdateRangeBody(stream, in, out, begin, end);
+}
+#endif
+
+UpdateRangeFn ResolveUpdateRange() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (__builtin_cpu_supports("x86-64-v4")) {
+    return &UpdateRangeX86V4;
+  }
+#endif
+  return &UpdateRangeDefault;
+}
+
+// Chosen once, on first use, thread-safely (magic static). An explicit
+// pointer rather than an ifunc (target_clones): an ifunc resolver runs
+// before the sanitizer runtimes are up.
+UpdateRangeFn ActiveUpdateRange() {
+  static const UpdateRangeFn fn = ResolveUpdateRange();
+  return fn;
 }
 
 // Deterministic sparse-update predicate: whether (iteration, rank, chunk)
 // is touched this step. A distinct mix constant keeps it decorrelated from
-// UpdateDelta without a second seed.
+// the element deltas without a second seed.
 bool ChunkTouched(uint64_t seed, int64_t iteration, int rank, size_t chunk, double fraction) {
   uint64_t x = seed ^ 0xD1B54A32D192ED03ULL;
   x ^= static_cast<uint64_t>(iteration) * 0x9E3779B97F4A7C15ULL;
@@ -46,11 +112,10 @@ ShardedTrainer::ShardedTrainer(const ModelConfig& model, int num_machines, int p
   assert(num_machines >= 1);
   assert(payload_elements >= 1);
   shards_.resize(static_cast<size_t>(num_machines));
+  const UpdateRangeFn update = ActiveUpdateRange();
   for (int rank = 0; rank < num_machines; ++rank) {
     auto shard = std::make_shared<std::vector<float>>(static_cast<size_t>(payload_elements));
-    for (size_t i = 0; i < shard->size(); ++i) {
-      (*shard)[i] = UpdateDelta(seed_, /*iteration=*/-1, rank, i);
-    }
+    update(StreamKey(seed_, /*iteration=*/-1, rank), nullptr, shard->data(), 0, shard->size());
     shards_[static_cast<size_t>(rank)] = std::move(shard);
   }
 }
@@ -112,27 +177,22 @@ void ShardedTrainer::MarkChunkDirty(int rank, size_t chunk) {
 }
 
 void ShardedTrainer::UpdateShardsAtCurrentIteration() {
+  const UpdateRangeFn update = ActiveUpdateRange();
   for (int rank = 0; rank < num_machines_; ++rank) {
     std::shared_ptr<std::vector<float>>& live = shards_[static_cast<size_t>(rank)];
     // A capture still holds the live buffer: its bytes stay frozen, and this
     // update lands in a fresh buffer instead.
     const bool captured = live.use_count() > 1;
-    const auto updated = [&](size_t i, float value) {
-      return value * 0.999f + UpdateDelta(seed_, iteration_, rank, i);
-    };
+    const uint64_t stream = StreamKey(seed_, iteration_, rank);
     if (sparse_fraction_ >= 1.0) {
-      // Dense fast path: exactly the historical update loop, bit for bit.
-      // Every element is rewritten, so a copy-on-write writes the update
-      // straight into the fresh buffer instead of copying the shard first.
-      // (Sizing the buffer zero-fills it, but that fill stays in cache and
-      // measured cheaper than reserve + push_back's per-element check.)
-      const float* in = live->data();
+      // Dense path: every element is rewritten, so a copy-on-write writes
+      // the update straight into the fresh buffer instead of copying the
+      // shard first. (Sizing the buffer zero-fills it, but that fill stays
+      // in cache and measured cheaper than reserve + push_back's
+      // per-element check.)
       std::shared_ptr<std::vector<float>> target =
           captured ? std::make_shared<std::vector<float>>(live->size()) : live;
-      float* out = target->data();
-      for (size_t i = 0; i < target->size(); ++i) {
-        out[i] = updated(i, in[i]);
-      }
+      update(stream, live->data(), target->data(), 0, target->size());
       live = std::move(target);
       MarkAllDirty(rank);
       continue;
@@ -152,9 +212,7 @@ void ShardedTrainer::UpdateShardsAtCurrentIteration() {
       }
       const size_t begin = chunk * sparse_chunk_elements_;
       const size_t end = std::min(shard.size(), begin + sparse_chunk_elements_);
-      for (size_t i = begin; i < end; ++i) {
-        shard[i] = updated(i, shard[i]);
-      }
+      update(stream, shard.data(), shard.data(), begin, end);
       if (dirty_tracking_enabled()) {
         if (dirty_chunk_elements_ == sparse_chunk_elements_) {
           MarkChunkDirty(rank, chunk);

@@ -302,6 +302,61 @@ TEST(ChaosTest, FailedReprotectionPassIsRetriedAndSuccessResetsAttempts) {
   ExpectStateMatchesReference(system, config, 40);
 }
 
+TEST(ChaosTest, ReprotectionThatGivesUpStillClosesItsWindow) {
+  // As above, but the 6->7 link drops the first transfer of passes 1, 2 and
+  // 3: after the first failure every allowed pass fails and re-protection
+  // gives up. The give-up must still account the degraded window and drop
+  // the targets, so the second failure's pass 4 starts a fresh window and
+  // adds only its own span.
+  GeminiConfig config = SmallConfig();
+  GeminiSystem system(config);
+  ASSERT_TRUE(system.Initialize().ok());
+  system.failure_injector().InjectAt(Minutes(4), FailureType::kHardware, {7});
+  system.failure_injector().InjectAt(Minutes(30), FailureType::kHardware, {7});
+  struct Drops {
+    int64_t streams_started = 0;
+    int passes = 0;
+    double degraded_before_pass4 = -1.0;
+  };
+  auto drops = std::make_shared<Drops>();
+  system.cluster().fabric().set_partition_check([&system, drops](int src, int dst) {
+    const bool pair67 = (src == 6 && dst == 7) || (src == 7 && dst == 6);
+    if (!pair67 || system.recovering()) {
+      return true;
+    }
+    const int64_t started = system.metrics().counter_value("replicator.reprotected_replicas");
+    if (started == drops->streams_started) {
+      return true;
+    }
+    drops->streams_started = started;
+    if (++drops->passes == 4) {
+      drops->degraded_before_pass4 =
+          system.metrics().gauge_value("system.redundancy.degraded_seconds");
+    }
+    return drops->passes > 3;
+  });
+  const auto report = system.TrainUntil(40, /*sim_deadline=*/Hours(8));
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  ASSERT_EQ(report->recoveries.size(), 2u);
+  EXPECT_EQ(drops->passes, 4) << "three failed passes, a give-up, then one pass that succeeds";
+  EXPECT_EQ(system.metrics().counter_value("system.reprotections"), 1);
+  EXPECT_GT(drops->degraded_before_pass4, 0.0) << "the give-up must close its window";
+  const double second_window =
+      system.metrics().gauge_value("system.redundancy.degraded_seconds") -
+      drops->degraded_before_pass4;
+  EXPECT_GT(second_window, 0.0);
+  // The second failure strikes at 30 min; its window starts there, not at
+  // the given-up window's start near 4 min.
+  EXPECT_LT(second_window, static_cast<double>(Minutes(30) - Minutes(4)) / 1e9);
+  for (int owner : {6, 7}) {
+    EXPECT_GE(system.cpu_store(7).LatestIteration(owner), 0) << "owner " << owner;
+  }
+  ExpectNoDroppedReports(system, *report);
+  EXPECT_EQ(report->iterations_completed, 40);
+  ExpectStateMatchesReference(system, config, 40);
+}
+
 TEST(ChaosTest, CorrelatedBurstAcrossGroupsRecoversFromCpuMemory) {
   // Rack-style correlated burst: three machines in three different placement
   // groups die two seconds apart. Every group keeps a survivor, so all three

@@ -1,12 +1,16 @@
 // Tests for model configurations (Table 2), the ZeRO-3 timeline generator,
-// the online profiler, and the sharded trainer's snapshot semantics and
-// recovery-replay property.
+// the online profiler, and the sharded trainer's snapshot semantics,
+// recovery-replay property and bit-exactness against a scalar reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/training/model_config.h"
 #include "src/training/profiler.h"
@@ -404,6 +408,175 @@ INSTANTIATE_TEST_SUITE_P(Replays, TrainerReplayTest,
                          ::testing::Values(std::make_tuple(0, 3), std::make_tuple(2, 2),
                                            std::make_tuple(2, 6), std::make_tuple(5, 9),
                                            std::make_tuple(1, 10)));
+
+// The trainer's update written the plain way, independently of
+// ShardedTrainer: one element at a time, the whole mix recomputed per
+// element, in three separate loops (initial states, dense step, sparse
+// step). The trainer runs one dispatched, vectorized kernel instead; both
+// must produce the same bits on every ISA, which a comparison of
+// ShardedTrainer with itself cannot show.
+uint64_t ReferenceMix(uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+float ReferenceDelta(uint64_t seed, int64_t iteration, int rank, size_t element) {
+  uint64_t x = seed;
+  x ^= static_cast<uint64_t>(iteration) * 0x9E3779B97F4A7C15ULL;
+  x ^= (static_cast<uint64_t>(rank) + 1) * 0xBF58476D1CE4E5B9ULL;
+  x ^= (static_cast<uint64_t>(element) + 1) * 0x94D049BB133111EBULL;
+  x = ReferenceMix(x);
+  return static_cast<float>(static_cast<double>(x >> 11) * 0x1.0p-53 - 0.5);
+}
+
+bool ReferenceChunkTouched(uint64_t seed, int64_t iteration, int rank, size_t chunk,
+                           double fraction) {
+  uint64_t x = seed ^ 0xD1B54A32D192ED03ULL;
+  x ^= static_cast<uint64_t>(iteration) * 0x9E3779B97F4A7C15ULL;
+  x ^= (static_cast<uint64_t>(rank) + 1) * 0xBF58476D1CE4E5B9ULL;
+  x ^= (static_cast<uint64_t>(chunk) + 1) * 0x94D049BB133111EBULL;
+  x = ReferenceMix(x);
+  return static_cast<double>(x >> 11) * 0x1.0p-53 < fraction;
+}
+
+class ReferenceTrainer {
+ public:
+  ReferenceTrainer(int num_machines, size_t elements, uint64_t seed)
+      : seed_(seed), shards_(static_cast<size_t>(num_machines), std::vector<float>(elements)) {
+    for (int rank = 0; rank < num_machines; ++rank) {
+      std::vector<float>& shard = shards_[static_cast<size_t>(rank)];
+      for (size_t i = 0; i < shard.size(); ++i) {
+        shard[i] = ReferenceDelta(seed_, -1, rank, i);
+      }
+    }
+  }
+
+  void SetSparseUpdates(double fraction, size_t chunk_elements) {
+    fraction_ = fraction;
+    chunk_elements_ = chunk_elements;
+  }
+
+  void Step() {
+    for (int rank = 0; rank < static_cast<int>(shards_.size()); ++rank) {
+      std::vector<float>& shard = shards_[static_cast<size_t>(rank)];
+      if (fraction_ >= 1.0) {
+        for (size_t i = 0; i < shard.size(); ++i) {
+          shard[i] = shard[i] * 0.999f + ReferenceDelta(seed_, iteration_, rank, i);
+        }
+        continue;
+      }
+      for (size_t begin = 0; begin < shard.size(); begin += chunk_elements_) {
+        if (!ReferenceChunkTouched(seed_, iteration_, rank, begin / chunk_elements_,
+                                   fraction_)) {
+          continue;
+        }
+        const size_t end = std::min(shard.size(), begin + chunk_elements_);
+        for (size_t i = begin; i < end; ++i) {
+          shard[i] = shard[i] * 0.999f + ReferenceDelta(seed_, iteration_, rank, i);
+        }
+      }
+    }
+    ++iteration_;
+  }
+
+  const std::vector<float>& shard(int rank) const { return shards_[static_cast<size_t>(rank)]; }
+
+ private:
+  uint64_t seed_;
+  int64_t iteration_ = 0;
+  double fraction_ = 1.0;
+  size_t chunk_elements_ = 1;
+  std::vector<std::vector<float>> shards_;
+};
+
+void ExpectSameBits(const ShardedTrainer& trainer, const ReferenceTrainer& reference,
+                    const std::string& where) {
+  for (int rank = 0; rank < trainer.num_machines(); ++rank) {
+    const std::vector<float>& got = trainer.shard(rank);
+    const std::vector<float>& want = reference.shard(rank);
+    ASSERT_EQ(got.size(), want.size()) << where;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+        << where << ": rank " << rank << " differs from the scalar reference";
+  }
+}
+
+std::vector<Checkpoint> CaptureAll(const ShardedTrainer& trainer) {
+  std::vector<Checkpoint> captures;
+  for (int rank = 0; rank < trainer.num_machines(); ++rank) {
+    captures.push_back(trainer.MakeCheckpoint(rank));
+  }
+  return captures;
+}
+
+// Payload sizes around the vector widths, so every kernel tail is covered.
+class TrainerReferenceTest : public ::testing::TestWithParam<int> {
+ protected:
+  static constexpr int kMachines = 3;
+  static constexpr uint64_t kSeed = 23;
+};
+
+TEST_P(TrainerReferenceTest, DenseStepsMatchInPlaceAndCopyOnWrite) {
+  ShardedTrainer trainer(Gpt2_10B(), kMachines, GetParam(), kSeed);
+  ReferenceTrainer reference(kMachines, static_cast<size_t>(GetParam()), kSeed);
+  ExpectSameBits(trainer, reference, "initial states");
+  for (int step = 0; step < 4; ++step) {
+    // Odd steps run with every rank captured: the update copies on write.
+    const std::vector<Checkpoint> held =
+        step % 2 == 1 ? CaptureAll(trainer) : std::vector<Checkpoint>{};
+    const float* before = trainer.shard(0).data();
+    trainer.Step();
+    reference.Step();
+    EXPECT_EQ(trainer.shard(0).data() != before, !held.empty()) << "step " << step;
+    ExpectSameBits(trainer, reference, "dense step " + std::to_string(step));
+  }
+}
+
+TEST_P(TrainerReferenceTest, SparseStepsMatchForEveryChunkSize) {
+  for (const size_t chunk : {size_t{1}, size_t{3}, size_t{1024}}) {
+    ShardedTrainer trainer(Gpt2_10B(), kMachines, GetParam(), kSeed);
+    ReferenceTrainer reference(kMachines, static_cast<size_t>(GetParam()), kSeed);
+    trainer.SetSparseUpdates(0.3, chunk);
+    reference.SetSparseUpdates(0.3, chunk);
+    for (int step = 0; step < 3; ++step) {
+      const std::vector<Checkpoint> held =
+          step == 1 ? CaptureAll(trainer) : std::vector<Checkpoint>{};
+      trainer.Step();
+      reference.Step();
+      ExpectSameBits(trainer, reference,
+                     "chunk " + std::to_string(chunk) + " step " + std::to_string(step));
+    }
+  }
+}
+
+TEST_P(TrainerReferenceTest, ReplayToMatches) {
+  ShardedTrainer trainer(Gpt2_10B(), kMachines, GetParam(), kSeed);
+  ReferenceTrainer reference(kMachines, static_cast<size_t>(GetParam()), kSeed);
+  ASSERT_TRUE(trainer.ReplayTo(5).ok());
+  for (int step = 0; step < 5; ++step) {
+    reference.Step();
+  }
+  ExpectSameBits(trainer, reference, "ReplayTo(5)");
+}
+
+INSTANTIATE_TEST_SUITE_P(PayloadSizes, TrainerReferenceTest,
+                         ::testing::Values(1, 7, 8, 9, 17, 1000, 262147));
+
+TEST(TrainerTest, ShardsCrcIsPinned) {
+  // 16 x 1 MiB shards after five dense steps. The value is the one the
+  // scalar loops produced before the update was vectorized; a build that
+  // fuses the update's multiply-add (FMA contraction) changes it.
+  ShardedTrainer trainer(Gpt2_100B(), 16, 262144, /*seed=*/19);
+  for (int step = 0; step < 5; ++step) {
+    trainer.Step();
+  }
+  uint32_t crc = 0;
+  for (int rank = 0; rank < trainer.num_machines(); ++rank) {
+    const std::vector<float>& shard = trainer.shard(rank);
+    crc = Crc32Update(crc, shard.data(), shard.size() * sizeof(float));
+  }
+  EXPECT_EQ(crc, 0x4C59AEEAu);
+}
 
 TEST(TrainerTest, RestoreAllRejectsMixedIterations) {
   ShardedTrainer trainer(Gpt2_10B(), 2, 16, 1);
